@@ -23,7 +23,9 @@ from repro.streaming.engine import EngineConfig, simulate
 from repro.streaming.events import EventQueue, HeapEventQueue
 from repro.streaming.profiles import get_profile
 from repro.streaming.schedulers import SCHEDULER_NAMES
-from repro.streaming.soa import ENGINE_NAMES
+from repro.streaming.soa import ENGINES
+
+from tests.seams import forced
 
 #: Workload shape, roughly the tvants engine mix: ~100 periodic sources
 #: ticking at 0.3 s, each tick scheduling ~1.5 one-shot follow-ups that
@@ -104,14 +106,16 @@ def test_engine_scheduler_throughput(benchmark, scheduler):
 #: (pplive's 4000-peer swarm is the largest population benchmarked here),
 #: under both the object reference core and the struct-of-arrays core.
 #: The two are byte-identical for this seed (the differential suite pins
-#: it), so the entries measure pure representation cost.  See
+#: it), so the entries measure pure representation cost.  These profiles
+#: run on the object core by themselves; the SoA side is forced through
+#: the test seam.  See
 #: ``docs/engine-internals.md`` for why SoA trails the object core at
 #: NAPA-WINE partner widths.
 ENGINE_BENCH_DURATION_S = 30.0
 ENGINE_BENCH_APPS = ("pplive", "sopcast", "tvants")
 
 
-@pytest.mark.parametrize("engine", sorted(ENGINE_NAMES))
+@pytest.mark.parametrize("engine", sorted(ENGINES))
 @pytest.mark.parametrize("app", ENGINE_BENCH_APPS)
 def test_engine_mode_throughput(benchmark, app, engine):
     """Engine event throughput per engine core, per application."""
@@ -119,10 +123,11 @@ def test_engine_mode_throughput(benchmark, app, engine):
     config = EngineConfig(duration_s=ENGINE_BENCH_DURATION_S, seed=42)
 
     def run():
-        return simulate(profile, engine_config=config, engine=engine)
+        return simulate(profile, engine_config=config)
 
-    result = benchmark.pedantic(run, rounds=2, iterations=1, warmup_rounds=1)
-    benchmark.extra_info["engine"] = engine
+    with forced(engine=engine):
+        result = benchmark.pedantic(run, rounds=2, iterations=1, warmup_rounds=1)
+    benchmark.extra_info["engine"] = result.extras["engine_mode"]
     benchmark.extra_info["events"] = result.events_processed
     benchmark.extra_info["transfers"] = len(result.transfers)
     benchmark.extra_info["simulated_s"] = ENGINE_BENCH_DURATION_S

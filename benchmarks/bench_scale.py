@@ -18,7 +18,7 @@ it:
 A third family rides the lazy peer-state layer:
 
 * ``test_engine_scale_lazy_throughput`` — napa-scale (1.8×10^5) on the
-  SoA core with ``peer_state="lazy"``: the paired entry against the
+  SoA core with lazy peer state: the paired entry against the
   eager ``test_engine_scale_throughput[soa]`` record.  The committed
   pair is the acceptance record that lazy materialisation costs ≤10 %
   wall-clock at the paper's measured scale, and the CI gate holds the
@@ -26,6 +26,11 @@ A third family rides the lazy peer-state layer:
 * ``test_engine_mega_throughput`` — the mega-scale swarm at 5×10^5 and
   10^6 peers, eager vs lazy (``REPRO_SCALE_MEGA=1`` to enable): the
   memory crossover the performance docs tabulate.
+
+napa-scale runs on the SoA core with eager peer state by itself, and
+mega-scale with lazy; the other side of each pair is forced through the
+test seam (:func:`tests.seams.forced`), so every entry keeps comparing
+like with like.
 
 Wall-clock here includes world construction and population generation
 (both cheap next to the event loop at these horizons), matching the
@@ -39,13 +44,14 @@ largest earlier footprint and over-report.
 
 import os
 import resource
-from dataclasses import replace
 
 import pytest
 
 from repro.streaming.engine import EngineConfig, simulate
 from repro.streaming.profiles import get_profile
-from repro.streaming.soa import ENGINE_NAMES
+from repro.streaming.soa import ENGINES
+
+from tests.seams import forced
 
 #: Short horizons keep the full-scale pair affordable (the 1.8×10^5-peer
 #: object run costs tens of seconds per simulated five minutes).
@@ -62,7 +68,7 @@ def _peak_rss_mb() -> float:
     return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
 
 
-@pytest.mark.parametrize("engine", sorted(ENGINE_NAMES))
+@pytest.mark.parametrize("engine", sorted(ENGINES))
 @pytest.mark.parametrize("swarm", [4000, 40_000])
 def test_engine_crossover_throughput(benchmark, swarm, engine):
     """napa-scale resized across the object/SoA crossover region."""
@@ -70,27 +76,29 @@ def test_engine_crossover_throughput(benchmark, swarm, engine):
     config = EngineConfig(duration_s=CROSSOVER_DURATION_S, seed=SCALE_SEED)
 
     def run():
-        return simulate(profile, engine_config=config, engine=engine)
+        return simulate(profile, engine_config=config)
 
-    result = benchmark.pedantic(run, rounds=2, iterations=1, warmup_rounds=0)
-    benchmark.extra_info["engine"] = engine
+    with forced(engine=engine):
+        result = benchmark.pedantic(run, rounds=2, iterations=1, warmup_rounds=0)
+    benchmark.extra_info["engine"] = result.extras["engine_mode"]
     benchmark.extra_info["swarm"] = swarm
     benchmark.extra_info["events"] = result.events_processed
     benchmark.extra_info["transfers"] = len(result.transfers)
     benchmark.extra_info["simulated_s"] = CROSSOVER_DURATION_S
 
 
-@pytest.mark.parametrize("engine", sorted(ENGINE_NAMES))
+@pytest.mark.parametrize("engine", sorted(ENGINES))
 def test_engine_scale_throughput(benchmark, engine):
     """Both cores on the full paper-scale swarm (1.8×10^5 peers)."""
     profile = get_profile("napa-scale")
     config = EngineConfig(duration_s=SCALE_DURATION_S, seed=SCALE_SEED)
 
     def run():
-        return simulate(profile, engine_config=config, engine=engine)
+        return simulate(profile, engine_config=config)
 
-    result = benchmark.pedantic(run, rounds=2, iterations=1, warmup_rounds=0)
-    benchmark.extra_info["engine"] = engine
+    with forced(engine=engine, peer_state="eager"):
+        result = benchmark.pedantic(run, rounds=2, iterations=1, warmup_rounds=0)
+    benchmark.extra_info["engine"] = result.extras["engine_mode"]
     benchmark.extra_info["swarm"] = profile.swarm_size
     benchmark.extra_info["events"] = result.events_processed
     benchmark.extra_info["transfers"] = len(result.transfers)
@@ -102,21 +110,22 @@ def test_engine_scale_lazy_throughput(benchmark):
     """napa-scale on the SoA core with lazy peer-state materialisation.
 
     The paired entry for ``test_engine_scale_throughput[soa]``: identical
-    run, ``peer_state="lazy"`` — on-demand score rows, first-contact
+    run, lazy peer state — on-demand score rows, first-contact
     busy/latency state, blockwise availability.  Byte-identical traces
     (the differential suite pins that); this entry records what the lazy
     indirection costs where it is *not* needed.
     """
-    profile = replace(get_profile("napa-scale"), peer_state="lazy")
+    profile = get_profile("napa-scale")
     config = EngineConfig(duration_s=SCALE_DURATION_S, seed=SCALE_SEED)
 
     def run():
-        return simulate(profile, engine_config=config, engine="soa")
+        return simulate(profile, engine_config=config)
 
-    result = benchmark.pedantic(run, rounds=2, iterations=1, warmup_rounds=0)
-    benchmark.extra_info["engine"] = "soa"
+    with forced(engine="soa", peer_state="lazy"):
+        result = benchmark.pedantic(run, rounds=2, iterations=1, warmup_rounds=0)
+    benchmark.extra_info["engine"] = result.extras["engine_mode"]
     benchmark.extra_info["swarm"] = profile.swarm_size
-    benchmark.extra_info["peer_state"] = "lazy"
+    benchmark.extra_info["peer_state"] = result.extras["engine_stats"]["peer_state"]
     benchmark.extra_info["events"] = result.events_processed
     benchmark.extra_info["transfers"] = len(result.transfers)
     benchmark.extra_info["simulated_s"] = SCALE_DURATION_S
@@ -138,18 +147,17 @@ def test_engine_mega_throughput(benchmark, swarm, peer_state):
     alone are ~1.1 GB at 10^6).  Run each cell in its own process — see
     the module docstring on ``ru_maxrss``.
     """
-    profile = replace(
-        get_profile("mega-scale").scaled_swarm(swarm), peer_state=peer_state
-    )
+    profile = get_profile("mega-scale").scaled_swarm(swarm)
     config = EngineConfig(duration_s=MEGA_DURATION_S, seed=SCALE_SEED)
 
     def run():
-        return simulate(profile, engine_config=config, engine="soa")
+        return simulate(profile, engine_config=config)
 
-    result = benchmark.pedantic(run, rounds=1, iterations=1, warmup_rounds=0)
-    benchmark.extra_info["engine"] = "soa"
+    with forced(engine="soa", peer_state=peer_state):
+        result = benchmark.pedantic(run, rounds=1, iterations=1, warmup_rounds=0)
+    benchmark.extra_info["engine"] = result.extras["engine_mode"]
     benchmark.extra_info["swarm"] = swarm
-    benchmark.extra_info["peer_state"] = peer_state
+    benchmark.extra_info["peer_state"] = result.extras["engine_stats"]["peer_state"]
     benchmark.extra_info["events"] = result.events_processed
     benchmark.extra_info["transfers"] = len(result.transfers)
     benchmark.extra_info["simulated_s"] = MEGA_DURATION_S
@@ -173,10 +181,10 @@ def test_engine_scale_hour(benchmark):
     config = EngineConfig(duration_s=3600.0, seed=SCALE_SEED)
 
     def run():
-        return simulate(profile, engine_config=config, engine="soa")
+        return simulate(profile, engine_config=config)
 
     result = benchmark.pedantic(run, rounds=1, iterations=1, warmup_rounds=0)
-    benchmark.extra_info["engine"] = "soa"
+    benchmark.extra_info["engine"] = result.extras["engine_mode"]
     benchmark.extra_info["swarm"] = profile.swarm_size
     benchmark.extra_info["events"] = result.events_processed
     benchmark.extra_info["transfers"] = len(result.transfers)

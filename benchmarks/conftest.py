@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from repro.experiments.campaign import Campaign, CampaignConfig, run_campaign
@@ -24,6 +25,12 @@ BENCH_DURATION_S = 240.0
 BENCH_SEED = 42
 
 OUTPUT_DIR = Path(__file__).parent / "output"
+
+
+def pytest_benchmark_update_machine_info(config, machine_info):
+    """Record the numpy version with every run (``repro.obs.bench`` stamps
+    it onto each summary entry)."""
+    machine_info["numpy_version"] = np.__version__
 
 
 @pytest.fixture(scope="session")

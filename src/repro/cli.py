@@ -26,9 +26,10 @@ backoff, poison-shard quarantine).
 ``simulate``, ``campaign``, ``replicate`` and ``robustness`` accept
 ``--scheduler {mesh-pull,rarest,edf,push}`` to run under an alternative
 chunk-scheduling policy (see :mod:`repro.streaming.schedulers`; env
-default: ``REPRO_SCHEDULER``), and ``--engine {object,soa}`` to pick the
-engine core (see :mod:`repro.streaming.soa`; env default:
-``REPRO_ENGINE``) — both cores are byte-identical for a fixed seed.
+default: ``REPRO_SCHEDULER``).  The engine core and peer-state mode are
+not options: each run picks them from its profile and swarm size
+(:func:`repro.streaming.engine.select_engine`), and the trace bundle and
+run manifest record what ran.
 Global ``--log-level`` / ``--log-format`` control the structured logger
 (:mod:`repro.obs`; env: ``REPRO_LOG_LEVEL`` / ``REPRO_LOG_FORMAT``), and
 ``campaign`` writes a JSON run manifest next to its outputs
@@ -102,27 +103,6 @@ def _scheduler(args: argparse.Namespace) -> str:
     return name
 
 
-def _add_engine_flag(parser: argparse.ArgumentParser) -> None:
-    # Same contract as --scheduler: validated by get_engine, not argparse
-    # choices, so unknown names exit 2 with the ConfigurationError text.
-    from repro.streaming.soa import ENGINE_NAMES
-
-    parser.add_argument(
-        "--engine", default=None, metavar="CORE",
-        help="engine core: " + ", ".join(ENGINE_NAMES)
-        + " (default: object, or $REPRO_ENGINE); byte-identical traces",
-    )
-
-
-def _engine(args: argparse.Namespace) -> str:
-    """Resolve and validate the run's engine core."""
-    from repro.streaming.soa import default_engine, get_engine
-
-    name = args.engine if args.engine is not None else default_engine()
-    get_engine(name)  # unknown names raise ConfigurationError → exit 2
-    return name
-
-
 def _cmd_simulate(args: argparse.Namespace) -> int:
     from repro import run_experiment
     from repro.trace.store import TraceBundle, save_trace_bundle
@@ -133,7 +113,6 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         duration_s=args.duration,
         seed=args.seed,
         scheduler=_scheduler(args),
-        engine=_engine(args),
     )
     _dump_profiler(profiler, args, args.out + ".pstats")
     bundle = TraceBundle.from_result(result)
@@ -211,7 +190,6 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
         checkpoint_dir=args.checkpoint_dir,
         impairment=impairment,
         scheduler=_scheduler(args),
-        engine=_engine(args),
     )
     profiler = _start_profiler(args)
     campaign = run_campaign(
@@ -291,7 +269,6 @@ def _cmd_replicate(args: argparse.Namespace) -> int:
             duration_s=args.duration,
             scale=args.scale,
             scheduler=_scheduler(args),
-            engine=_engine(args),
         ),
         seeds=args.seeds,
         workers=args.workers,
@@ -318,7 +295,6 @@ def _cmd_robustness(args: argparse.Namespace) -> int:
         fault_seed=args.fault_seed,
         scale=args.scale,
         scheduler=_scheduler(args),
-        engine=_engine(args),
         workers=args.workers,
         backend=args.backend,
         policy=_policy_from_args(args),
@@ -427,7 +403,6 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--seed", type=int, default=7)
     sim.add_argument("--out", default="trace.npz", help="output bundle path")
     _add_scheduler_flag(sim)
-    _add_engine_flag(sim)
     _add_profile_flag(sim, "next to the trace bundle")
     sim.set_defaults(func=_cmd_simulate)
 
@@ -470,7 +445,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="skip writing the run manifest",
     )
     _add_scheduler_flag(camp)
-    _add_engine_flag(camp)
     _add_profile_flag(camp, "next to the run manifest")
     _add_executor_flags(camp)
     camp.set_defaults(func=_cmd_campaign)
@@ -490,7 +464,6 @@ def build_parser() -> argparse.ArgumentParser:
     rep.add_argument("--scale", type=float, default=1.0)
     rep.add_argument("--seeds", type=int, nargs="+", default=[101, 202, 303])
     _add_scheduler_flag(rep)
-    _add_engine_flag(rep)
     _add_executor_flags(rep)
     rep.set_defaults(func=_cmd_replicate)
 
@@ -507,7 +480,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=[0.0, 0.25, 0.5, 0.75, 1.0],
     )
     _add_scheduler_flag(rob)
-    _add_engine_flag(rob)
     _add_executor_flags(rob)
     rob.set_defaults(func=_cmd_robustness)
 

@@ -47,11 +47,10 @@ from repro.obs.telemetry import Telemetry
 from repro.streaming.engine import EngineConfig, SimulationResult, simulate  # noqa: F401
 from repro.streaming.profiles import get_profile
 from repro.streaming.schedulers import default_scheduler, get_scheduler
-from repro.streaming.soa import default_engine, get_engine
 from repro.topology.testbed import Testbed
 from repro.topology.world import World
 from repro.trace.flows import FlowTable, build_flow_table  # noqa: F401
-from repro.trace.store import TraceBundle, load_trace_bundle, save_trace_bundle
+from repro.trace.store import TraceBundle, engine_extras, load_trace_bundle, save_trace_bundle
 
 #: The applications of the paper, in its reporting order.
 PAPER_APPS = ("pplive", "sopcast", "tvants")
@@ -106,12 +105,6 @@ class CampaignConfig:
         ``REPRO_SCHEDULER`` environment variable when set, else
         mesh-pull — so CI can run entire suites under an alternative
         policy without code changes.
-    engine:
-        Engine core executing every app in the campaign (``"object"`` or
-        ``"soa"`` — see :mod:`repro.streaming.soa`).  Defaults to the
-        ``REPRO_ENGINE`` environment variable when set, else the object
-        core.  Both cores are byte-identical for a fixed seed, so the
-        choice never changes campaign results — only their cost.
     """
 
     apps: tuple[str, ...] = PAPER_APPS
@@ -123,7 +116,6 @@ class CampaignConfig:
     checkpoint_dir: str | None = None
     impairment: ImpairmentPlan | None = None
     scheduler: str = field(default_factory=default_scheduler)
-    engine: str = field(default_factory=default_engine)
 
     def __post_init__(self) -> None:
         if not self.apps:
@@ -133,7 +125,6 @@ class CampaignConfig:
         if self.max_retries < 0:
             raise ConfigurationError("max_retries must be non-negative")
         get_scheduler(self.scheduler)  # unknown names raise here
-        get_engine(self.engine)  # unknown names raise here
 
 
 @dataclass(frozen=True, slots=True)
@@ -271,14 +262,6 @@ def _load_checkpoint(
             f"checkpoint scheduler {meta.get('scheduler', 'mesh-pull')!r} "
             f"!= {cfg.scheduler!r}"
         )
-    # Engine cores are byte-identical, so a mismatched checkpoint would
-    # hold the same numbers — but the campaign manifest records which
-    # core produced every run, and silently mixing cores would make that
-    # record a lie.  Stale-reuse detection beats a marginal resim saving.
-    if meta.get("engine", "object") != cfg.engine:
-        raise TraceError(
-            f"checkpoint engine {meta.get('engine', 'object')!r} != {cfg.engine!r}"
-        )
     if int(meta.get("world_seed", -1)) != world.config.seed:
         raise TraceError("checkpoint world mismatch")
     expected_plan = None if cfg.impairment is None else cfg.impairment.seed
@@ -293,6 +276,7 @@ def _load_checkpoint(
         profile=profile,
         config=EngineConfig(duration_s=cfg.duration_s, seed=int(meta.get("seed", 0))),
         events_processed=int(meta.get("events", 0)),
+        extras=engine_extras(meta),
     )
 
 
@@ -333,6 +317,7 @@ def _result_from_bundle(
             duration_s=cfg.duration_s, seed=int(bundle.meta.get("seed", 0))
         ),
         events_processed=int(bundle.meta.get("events", 0)),
+        extras=engine_extras(bundle.meta),
     )
 
 

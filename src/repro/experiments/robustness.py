@@ -32,7 +32,6 @@ from repro.faults.plan import ImpairmentPlan, simulate_impaired
 from repro.obs.telemetry import Telemetry
 from repro.streaming.profiles import get_profile
 from repro.streaming.schedulers import default_scheduler, get_scheduler
-from repro.streaming.soa import default_engine, get_engine
 from repro.trace.flows import build_flow_table
 
 #: Default severity sweep: pristine → heavily impaired.
@@ -109,7 +108,6 @@ class SeverityShard:
     fault_seed: int
     scale: float
     scheduler: str = "mesh-pull"
-    engine: str = "object"
 
 
 def run_severity_shard(shard: SeverityShard) -> RobustnessPoint:
@@ -139,7 +137,6 @@ def run_severity_shard(shard: SeverityShard) -> RobustnessPoint:
                 seed=shard.seed,
                 world=world,
                 testbed=testbed,
-                engine=shard.engine,
             )
         with tel.timer("analyze"):
             flows = build_flow_table(
@@ -173,7 +170,6 @@ def sweep_robustness(
     fault_seed: int = 1,
     scale: float = 1.0,
     scheduler: str | None = None,
-    engine: str | None = None,
     workers: int | None = None,
     backend: str | None = None,
     policy: "SupervisionPolicy | None" = None,
@@ -192,8 +188,6 @@ def sweep_robustness(
     executor = resolve_executor(backend, workers, policy)
     policy_name = scheduler if scheduler is not None else default_scheduler()
     get_scheduler(policy_name)  # unknown names raise before any work
-    engine_name = engine if engine is not None else default_engine()
-    get_engine(engine_name)  # unknown names raise before any work
     shards = [
         SeverityShard(
             app=app,
@@ -203,7 +197,6 @@ def sweep_robustness(
             fault_seed=fault_seed,
             scale=scale,
             scheduler=policy_name,
-            engine=engine_name,
         )
         for severity in severities
     ]

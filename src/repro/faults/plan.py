@@ -199,13 +199,11 @@ def simulate_impaired(
     world=None,
     testbed=None,
     engine_config: EngineConfig | None = None,
-    engine: str | None = None,
 ) -> tuple[SimulationResult, ImpairmentLog]:
     """Run one experiment under an impairment plan.
 
     A pure function of ``(world seed, profile, engine seed, plan seed)``:
-    identical arguments produce byte-identical impaired transfer logs —
-    under either engine core (``engine``, see :mod:`repro.streaming.soa`).
+    identical arguments produce byte-identical impaired transfer logs.
     """
     base = engine_config or EngineConfig(duration_s=duration_s, seed=seed)
     result = simulate(
@@ -213,6 +211,5 @@ def simulate_impaired(
         world=world,
         testbed=testbed,
         engine_config=plan.engine_config(base),
-        engine=engine,
     )
     return impair_result(result, plan)

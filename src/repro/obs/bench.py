@@ -16,6 +16,12 @@ against the most recent earlier entry of the same benchmark.  v1 files
 (one run, file-level timestamp only) migrate transparently — each legacy
 entry inherits the file-level ``datetime`` as its ``recorded`` stamp.
 
+Every new entry is stamped with where it was measured: the git commit,
+the CPU model and count, and the python and numpy versions, copied from
+the raw file's ``commit_info`` and ``machine_info`` (the benchmarks'
+conftest adds ``numpy_version`` to the latter).  Numbers from different
+machines or toolchains are then told apart by the entries themselves.
+
 ``--check-against`` turns the tool into a regression gate: the new run's
 events/s are compared per benchmark with the *latest* entry of a
 committed summary, and any drop beyond ``--max-regression`` (default
@@ -156,6 +162,23 @@ def summarize_benchmark(bench: dict, baseline: dict | None = None) -> dict:
     return entry
 
 
+def run_provenance(raw: dict) -> dict:
+    """Commit, CPU and toolchain of a raw pytest-benchmark run.
+
+    Fields the raw file lacks (no git checkout, no cpuinfo) are omitted.
+    """
+    machine = raw.get("machine_info") or {}
+    cpu = machine.get("cpu") or {}
+    provenance = {
+        "commit": (raw.get("commit_info") or {}).get("id"),
+        "cpu": cpu.get("brand_raw"),
+        "cpu_count": cpu.get("count"),
+        "python": machine.get("python_version"),
+        "numpy": machine.get("numpy_version"),
+    }
+    return {k: v for k, v in provenance.items() if v is not None}
+
+
 def summarize(raw: dict, baseline: dict | None = None, previous: dict | None = None) -> dict:
     """Summary document for a raw pytest-benchmark JSON.
 
@@ -169,10 +192,12 @@ def summarize(raw: dict, baseline: dict | None = None, previous: dict | None = N
     )
     prev_latest = latest_by_name(previous) if previous else {}
     stamp = raw.get("datetime")
+    provenance = run_provenance(raw)
     entries = []
     for bench in raw["benchmarks"]:
         entry = summarize_benchmark(bench, base_index.get(bench["name"]))
         entry["recorded"] = stamp
+        entry.update(provenance)
         prev = prev_latest.get(entry["name"])
         if prev is not None and prev.get("wall_s_min"):
             entry["speedup_vs_previous"] = prev["wall_s_min"] / entry["wall_s_min"]

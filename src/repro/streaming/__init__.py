@@ -29,13 +29,7 @@ from repro.streaming.profiles import (
     tvants,
 )
 from repro.streaming.engine import Engine, EngineConfig, SimulationResult, simulate
-from repro.streaming.soa import (
-    ENGINE_NAMES,
-    SoAEngine,
-    SoAState,
-    default_engine,
-    get_engine,
-)
+from repro.streaming.soa import SoAEngine, SoAState
 
 __all__ = [
     "ChunkClock",
@@ -58,9 +52,6 @@ __all__ = [
     "EngineConfig",
     "SimulationResult",
     "simulate",
-    "ENGINE_NAMES",
     "SoAEngine",
     "SoAState",
-    "default_engine",
-    "get_engine",
 ]

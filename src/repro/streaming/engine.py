@@ -103,6 +103,19 @@ _LIST_MIRROR_MAX = 50_000
 #: known, self, or duplicate within the reply).
 _ALIAS_MAX_ROUNDS = 8
 
+#: Directory size (remotes + probes) from which the engine materialises
+#: per-remote state lazily: score rows, latency rows and busy counters on
+#: first contact instead of swarm-wide at build time.  Eager costs
+#: O(swarm) bytes per probe and is faster to ~2×10^5 peers (napa-scale
+#: stays eager); at 10^6 peers only lazy fits in memory.  Either mode is
+#: byte-identical for a fixed seed — the differential suites pin it.
+LAZY_AUTO_MIN = 500_000
+
+
+def select_peer_state(n_peers: int) -> str:
+    """The peer-state mode for a directory of ``n_peers``: lazy or eager."""
+    return "lazy" if n_peers >= LAZY_AUTO_MIN else "eager"
+
 
 def _approx_latency(same_subnet: bool, same_as: bool, same_cc: bool) -> float:
     """One-way latency estimate used for protocol timing.
@@ -447,14 +460,7 @@ class Engine:
         self._signaling = SignalingBook()
 
         self._build_directory(population)
-        #: Peer-state materialisation policy (profile knob, ``"auto"``
-        #: resolved against the directory size): the lazy mode allocates
-        #: score rows, latency rows and busy counters on first contact
-        #: instead of swarm-wide at build time.  Byte-identical either
-        #: way — the differential suites pin it.
-        self._lazy = (
-            profile.resolved_peer_state(self.n_remote + self.n_probe) == "lazy"
-        )
+        self._lazy = select_peer_state(self.n_remote + self.n_probe) == "lazy"
         self._build_protocol_state()
         #: Discovery sampler selection (profile knob, not swarm-format
         #: dependent — sparse and dense runs of one profile draw alike).
@@ -1504,7 +1510,6 @@ def simulate(
     testbed: Testbed | None = None,
     demographics: Demographics | None = None,
     engine_config: EngineConfig | None = None,
-    engine: str | None = None,
 ) -> SimulationResult:
     """Run one complete experiment for ``profile`` — the main entry point.
 
@@ -1513,10 +1518,8 @@ def simulate(
     result.  The audience honours the profile's ``eu_audience_boost`` and
     ``probe_as_fraction`` (channel-popularity effects).
 
-    ``engine`` selects the engine core (``"object"`` or ``"soa"`` — see
-    :mod:`repro.streaming.soa`); ``None`` defers to ``REPRO_ENGINE`` and
-    then the object default.  Both cores are byte-identical for a fixed
-    seed; the SoA core scans all probes with shared-array kernels.
+    The engine core comes from the profile (:func:`select_engine`); both
+    cores are byte-identical for a fixed seed.
     """
     config = engine_config or EngineConfig(duration_s=duration_s, seed=seed)
     if world is None:
@@ -1553,9 +1556,20 @@ def simulate(
             PopulationConfig(size=profile.swarm_size, demographics=demographics),
             rngs["population"],
         )
-    # Late import: repro.streaming.soa imports this module (Engine is its
-    # base class), so the registry cannot be bound at import time.
-    from repro.streaming.soa import get_engine
-
-    cls = get_engine(engine)
+    cls = select_engine(profile)
     return cls(world, testbed, profile, population, config).run()
+
+
+def select_engine(profile: AppProfile) -> type[Engine]:
+    """The engine core a run of ``profile`` uses.
+
+    The SoA core when the profile ticks its probes as one cohort — the
+    regime its batched kernels were built for, where it is 2.2× faster at
+    1.8×10^5 peers — and the object core otherwise, which is faster on the
+    10^2–10^4-peer paper profiles (docs/engine-internals.md).
+    """
+    # Late import: repro.streaming.soa imports this module (Engine is its
+    # base class), so SoAEngine cannot be bound at import time.
+    from repro.streaming.soa import SoAEngine
+
+    return SoAEngine if profile.tick_cohort else Engine

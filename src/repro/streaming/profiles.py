@@ -32,14 +32,6 @@ from repro.streaming.selection import SelectionWeights
 from repro.streaming.video import VideoConfig
 
 
-#: Swarm size beyond which ``peer_state="auto"`` resolves to lazy
-#: materialisation (sparse swarms only).  Set above the napa-scale
-#: 1.8×10^5 so the paper-scale profile keeps its benchmarked eager path
-#: by default; the 10^6-peer mega-scale profile opts into lazy
-#: explicitly anyway.
-LAZY_AUTO_MIN = 500_000
-
-
 @dataclass(frozen=True, slots=True)
 class AppProfile:
     """Complete behavioural description of one P2P-TV application."""
@@ -63,15 +55,6 @@ class AppProfile:
     #: Audience demographics: ``"cctv1"`` (the paper's CN-dominated channel)
     #: or ``"crossswarm"`` (the Western-centric cross-swarm-study mix).
     audience: str = "cctv1"
-    #: Per-remote state materialisation: ``"eager"`` precomputes the
-    #: swarm-wide score rows, latency rows and busy counters up front
-    #: (O(swarm) bytes per probe — fine to ~2×10^5 peers); ``"lazy"``
-    #: materialises them on first contact so the resident set scales with
-    #: *touched* peers (required at 10^6).  ``"auto"`` picks lazy for
-    #: sparse swarms beyond :data:`LAZY_AUTO_MIN` peers.  Either choice is
-    #: byte-identical for a fixed seed — the lazy kernels compute the very
-    #: same IEEE-754 values on demand.
-    peer_state: str = "auto"
 
     # --- discovery ---------------------------------------------------------
     tracker_initial: int = 60
@@ -117,7 +100,9 @@ class AppProfile:
     live_lag_chunks: int = 3
     #: When true, all probes tick in one cohort event (ascending probe
     #: order) instead of 46 staggered per-probe events, letting the SoA
-    #: engine batch its per-tick kernels across the whole cohort.  Trace
+    #: engine batch its per-tick kernels across the whole cohort — so a
+    #: cohort profile runs on the SoA core, any other on the object core
+    #: (:func:`~repro.streaming.engine.select_engine`).  Trace
     #: semantics are unchanged — only event grouping differs — but cohort
     #: and staggered runs of the same profile are *different* experiments.
     tick_cohort: bool = False
@@ -170,11 +155,6 @@ class AppProfile:
                 f"unknown discovery sampler {self.discovery!r}; "
                 "valid choices: ['scan', 'alias']"
             )
-        if self.peer_state not in ("auto", "eager", "lazy"):
-            raise ConfigurationError(
-                f"unknown peer_state {self.peer_state!r}; "
-                "valid choices: ['auto', 'eager', 'lazy']"
-            )
 
     def scaled(self, factor: float) -> "AppProfile":
         """A copy with the swarm (and discovery reach) scaled by ``factor``.
@@ -223,19 +203,6 @@ class AppProfile:
                 "overflowing tracker replies"
             )
         return replace(self, swarm_size=size)
-
-    def resolved_peer_state(self, n_peers: int) -> str:
-        """Resolve ``peer_state`` for a swarm of ``n_peers`` total peers.
-
-        ``"auto"`` becomes ``"lazy"`` only for sparse swarms at or beyond
-        :data:`LAZY_AUTO_MIN` — everything the goldens and benches pin
-        today stays on the eager path unless a profile opts in.
-        """
-        if self.peer_state != "auto":
-            return self.peer_state
-        if self.swarm == "sparse" and n_peers >= LAZY_AUTO_MIN:
-            return "lazy"
-        return "eager"
 
 
 def pplive() -> AppProfile:
@@ -424,18 +391,16 @@ def mega_scale() -> AppProfile:
 
     Identical protocol knobs to :func:`napa_scale` — same awareness
     weights, same HD channel, same cohort ticking — resized to one
-    million remote peers and pinned to ``peer_state="lazy"``: the
-    swarm-wide score rows alone would cost ~1.1 GB eager at this size,
-    so per-remote state (score rows, latency rows, busy counters, the
-    remote threshold matrix) is materialised blockwise / on first
-    contact instead.  Lazy materialisation is byte-identical for a
-    fixed seed, so the differential suites gate this profile's kernels
-    at test scale while the CI mega-smoke job exercises the full size.
+    million remote peers.  That size is past the engine's
+    :data:`~repro.streaming.engine.LAZY_AUTO_MIN`: the swarm-wide score
+    rows alone would cost ~1.1 GB eager, so per-remote state (score rows,
+    latency rows, busy counters, the remote threshold matrix) is
+    materialised blockwise / on first contact instead.  Lazy
+    materialisation is byte-identical for a fixed seed, so the
+    differential suites gate this profile's kernels at test scale while
+    the CI mega-smoke job exercises the full size.
     """
-    base = napa_scale()
-    return replace(base, name="mega-scale", peer_state="lazy").scaled_swarm(
-        1_000_000
-    )
+    return replace(napa_scale(), name="mega-scale").scaled_swarm(1_000_000)
 
 
 def random_baseline() -> AppProfile:

@@ -40,11 +40,9 @@ answers stay exact regardless of margin sizing.
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
-from repro.errors import ConfigurationError, SimulationError
+from repro.errors import SimulationError
 from repro.streaming.engine import (
     _KIND_CONTROL,
     _KIND_VIDEO,
@@ -985,47 +983,9 @@ class SoAEngine(Engine):
 #: Name → engine class for both cores.
 ENGINES: dict[str, type[Engine]] = {Engine.mode: Engine, SoAEngine.mode: SoAEngine}
 
-#: Valid engine-mode names, sorted (CLI choices, error messages).
-ENGINE_NAMES: tuple[str, ...] = tuple(sorted(ENGINES))
-
-#: The core used unless told otherwise: the object reference engine.
-DEFAULT_ENGINE = Engine.mode
-
-#: Environment override consumed by :func:`default_engine` — lets CI run
-#: whole suites under the SoA core without code changes.
-ENV_ENGINE = "REPRO_ENGINE"
-
-
-def get_engine(name: str | None = None) -> type[Engine]:
-    """Resolve an engine-mode name to its class (``None`` → ambient default).
-
-    Raises :class:`~repro.errors.ConfigurationError` naming the valid
-    choices for anything unknown — config and CLI validation both route
-    through here so the error reads the same everywhere.
-    """
-    if name is None:
-        name = default_engine()
-    try:
-        return ENGINES[name]
-    except KeyError:
-        raise ConfigurationError(
-            f"unknown engine mode {name!r}; valid choices: {list(ENGINE_NAMES)}"
-        ) from None
-
-
-def default_engine() -> str:
-    """The ambient default core (``REPRO_ENGINE`` env, else object)."""
-    return os.environ.get(ENV_ENGINE, DEFAULT_ENGINE)
-
-
 __all__ = [
-    "DEFAULT_ENGINE",
     "ENGINES",
-    "ENGINE_NAMES",
-    "ENV_ENGINE",
     "SoAEngine",
     "SoAProbe",
     "SoAState",
-    "default_engine",
-    "get_engine",
 ]

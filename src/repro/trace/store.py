@@ -49,15 +49,16 @@ class TraceBundle:
     @classmethod
     def from_result(cls, result) -> "TraceBundle":
         """Build a bundle from a :class:`SimulationResult`."""
+        extras = getattr(result, "extras", None) or {}
         meta = {
             "profile": result.profile.name,
             "duration_s": result.config.duration_s,
             "seed": result.config.seed,
             "swarm_size": result.profile.swarm_size,
             "scheduler": getattr(result.profile, "scheduler", "mesh-pull"),
-            "engine": (getattr(result, "extras", None) or {}).get(
-                "engine_mode", "object"
-            ),
+            # What the engine chose for this run: its core and peer state.
+            "engine": extras.get("engine_mode", "object"),
+            "peer_state": extras.get("engine_stats", {}).get("peer_state"),
             "events": result.events_processed,
             # The synthetic Internet is a pure function of its seed; storing
             # it lets analysis rebuild the exact path model (for TTLs).
@@ -70,6 +71,19 @@ class TraceBundle:
             hosts=result.hosts,
             meta=meta,
         )
+
+
+def engine_extras(meta: dict) -> dict:
+    """The engine record of a bundle's meta, as :class:`SimulationResult` extras.
+
+    A result rebuilt from a bundle (a checkpoint resume, a process-backend
+    shard) reports the core and peer state of the run that wrote it.
+    Bundles written before the peer state was recorded carry none.
+    """
+    extras: dict = {"engine_mode": meta.get("engine", "object")}
+    if meta.get("peer_state") is not None:
+        extras["engine_stats"] = {"peer_state": meta["peer_state"]}
+    return extras
 
 
 def trace_digest(*arrays: np.ndarray) -> str:

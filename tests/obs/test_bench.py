@@ -12,6 +12,7 @@ from repro.obs.bench import (
     load_summary,
     main,
     migrate_summary,
+    run_provenance,
     summarize,
     summarize_benchmark,
     write_bench_summary,
@@ -71,6 +72,47 @@ class TestSummarize:
     def test_unmatched_baseline_name_ignored(self):
         doc = summarize(_raw(), baseline=_raw(name="other_bench"))
         assert "speedup_vs_baseline" not in doc["benchmarks"][0]
+
+
+class TestProvenance:
+    """Every new entry records the commit, CPU and toolchain it ran on."""
+
+    MACHINE = {
+        "python_version": "3.12.4",
+        "numpy_version": "2.1.0",
+        "cpu": {"brand_raw": "AMD EPYC 7763 64-Core Processor", "count": 4},
+    }
+
+    def _stamped(self, **raw_extra):
+        return {**_raw(), **raw_extra}
+
+    def test_new_entries_are_stamped(self):
+        raw = self._stamped(
+            machine_info=self.MACHINE, commit_info={"id": "abc123", "dirty": False}
+        )
+        (entry,) = summarize(raw)["benchmarks"]
+        assert entry["commit"] == "abc123"
+        assert entry["cpu"] == "AMD EPYC 7763 64-Core Processor"
+        assert entry["cpu_count"] == 4
+        assert entry["python"] == "3.12.4"
+        assert entry["numpy"] == "2.1.0"
+
+    def test_missing_fields_are_omitted(self):
+        assert run_provenance(_raw()) == {}
+        partial = self._stamped(machine_info={"python_version": "3.10.1", "cpu": {}})
+        assert run_provenance(partial) == {"python": "3.10.1"}
+
+    def test_earlier_entries_keep_their_own_stamp(self):
+        old = summarize(
+            self._stamped(machine_info=self.MACHINE, commit_info={"id": "old"})
+        )
+        new = self._stamped(
+            machine_info={**self.MACHINE, "numpy_version": "2.2.0"},
+            commit_info={"id": "new"},
+        )
+        doc = summarize(new, previous=old)
+        assert [e["commit"] for e in doc["benchmarks"]] == ["old", "new"]
+        assert [e["numpy"] for e in doc["benchmarks"]] == ["2.1.0", "2.2.0"]
 
 
 class TestWriteSummary:

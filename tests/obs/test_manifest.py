@@ -97,6 +97,8 @@ class TestCampaignManifest:
         assert shard["failed_stages"] == []
         # Per-shard stage timings came through the telemetry pipe.
         assert "shard/simulate" in shard["telemetry"]["timers"]
+        # What the engine chose for the run, under any backend.
+        assert (shard["engine"], shard["peer_state"]) == ("object", "eager")
 
     def test_engine_and_capture_counters_present(self, manifest):
         counters = manifest.telemetry["counters"]
@@ -175,6 +177,7 @@ class TestSummary:
         assert "COUNTERS" in out
         assert "tvants" in out
         assert "engine/events" in out
+        assert "peer state" in out and "object" in out and "eager" in out
 
     def test_summary_surfaces_peak_rss(self, manifest):
         out = render_manifest_summary(manifest)

@@ -1,12 +1,9 @@
 """Application profiles (simulator ground truth)."""
 
-from dataclasses import replace
-
 import pytest
 
 from repro.errors import ConfigurationError
 from repro.streaming.profiles import (
-    LAZY_AUTO_MIN,
     PROFILES,
     AppProfile,
     get_profile,
@@ -100,34 +97,14 @@ class TestScaling:
 
 
 class TestPeerState:
-    """Lazy-materialisation gating: profile knob, auto rule, mega profile."""
+    """The mega profile and paper-scale swarm validation."""
 
     def test_mega_scale_profile_shape(self):
         p = get_profile("mega-scale")
         assert p.swarm_size == 1_000_000
-        assert p.peer_state == "lazy"
         assert p.swarm == "sparse"
         assert p.discovery == "alias"
         assert p.tick_cohort
-
-    def test_bad_peer_state_rejected(self):
-        with pytest.raises(ConfigurationError, match="peer_state"):
-            AppProfile(name="x", peer_state="mmap")
-
-    def test_auto_resolves_by_scale_and_representation(self):
-        sparse = get_profile("napa-scale")
-        assert sparse.peer_state == "auto"
-        # The benchmarked paper-scale run keeps its eager path...
-        assert sparse.resolved_peer_state(180_046) == "eager"
-        # ...and auto flips to lazy only at mega scale, sparse only.
-        assert sparse.resolved_peer_state(LAZY_AUTO_MIN) == "lazy"
-        assert pplive().resolved_peer_state(LAZY_AUTO_MIN) == "eager"
-
-    def test_explicit_choice_overrides_auto_rule(self):
-        lazy = replace(get_profile("napa-scale"), peer_state="lazy")
-        assert lazy.resolved_peer_state(100) == "lazy"
-        eager = replace(get_profile("mega-scale"), peer_state="eager")
-        assert eager.resolved_peer_state(10_000_000) == "eager"
 
     def test_scaled_swarm_error_names_reach_and_limit(self):
         prof = get_profile("napa-scale")

@@ -13,6 +13,9 @@ Two independence claims make the napa-scale profile trustworthy:
 
 Both are checked through full digests: transfer rows, signaling rows,
 host rows, total events processed and the per-kind dispatch counters.
+napa-scale runs on the SoA core and, below 10^6 peers, with eager peer
+state by itself; the other side of each pair is forced through the test
+seam (:mod:`tests.seams`).
 """
 
 from dataclasses import replace
@@ -22,13 +25,15 @@ import pytest
 from repro.errors import ConfigurationError
 from repro.population.demographics import crossswarm_audience
 from repro.population.sparse import SparseSwarmConfig, generate_sparse_swarm
-from repro.streaming.engine import EngineConfig, simulate
+from repro.streaming.engine import EngineConfig, select_peer_state
 from repro.streaming.profiles import get_profile
-from repro.streaming.soa import get_engine
+from repro.streaming.soa import ENGINES
 from repro.topology.testbed import build_napa_wine_testbed
 from repro.config import RngBundle
 from repro.topology.world import World
 from repro.trace.store import trace_digest
+
+from tests.seams import forced, simulate_forced
 
 
 def _digest(res):
@@ -45,7 +50,9 @@ def _napa(size):
     return get_profile("napa-scale").scaled_swarm(size)
 
 
-def _run_with_population(profile, representation, *, engine, seed, duration_s):
+def _run_with_population(
+    profile, representation, *, engine, seed, duration_s, peer_state=None
+):
     """Simulate with the population passed as columns or as objects.
 
     Rebuilds :func:`simulate`'s plumbing with the population step made
@@ -63,9 +70,9 @@ def _run_with_population(profile, representation, *, engine, seed, duration_s):
         RngBundle(seed)["population"],
     )
     population = swarm if representation == "sparse" else swarm.peers()
-    cls = get_engine(engine)
     config = EngineConfig(duration_s=duration_s, seed=seed)
-    return cls(world, testbed, profile, population, config).run()
+    with forced(peer_state=peer_state):
+        return ENGINES[engine](world, testbed, profile, population, config).run()
 
 
 class TestRepresentationIndependence:
@@ -99,15 +106,15 @@ class TestEngineIndependenceAtScale:
 
     def test_napa_scale_mid_swarm_byte_identity(self):
         profile = _napa(2500)
-        a = _digest(simulate(profile, seed=7, duration_s=90.0, engine="object"))
-        b = _digest(simulate(profile, seed=7, duration_s=90.0, engine="soa"))
+        a = _digest(simulate_forced(profile, seed=7, duration_s=90.0, engine="object"))
+        b = _digest(simulate_forced(profile, seed=7, duration_s=90.0, engine="soa"))
         assert a == b
 
     def test_napa_scale_alias_discovery_survives_reseed(self):
         profile = _napa(1200)
         for seed in (3, 19):
-            a = _digest(simulate(profile, seed=seed, duration_s=45.0, engine="object"))
-            b = _digest(simulate(profile, seed=seed, duration_s=45.0, engine="soa"))
+            a = _digest(simulate_forced(profile, seed=seed, duration_s=45.0, engine="object"))
+            b = _digest(simulate_forced(profile, seed=seed, duration_s=45.0, engine="soa"))
             assert a == b, seed
 
     @pytest.mark.parametrize("cohort", [True, False])
@@ -118,8 +125,8 @@ class TestEngineIndependenceAtScale:
         exists under the cohort schedule, so the ``False`` leg pins the
         fallback path too."""
         profile = replace(_napa(1200), tick_cohort=cohort)
-        a = _digest(simulate(profile, seed=7, duration_s=45.0, engine="object"))
-        b = _digest(simulate(profile, seed=7, duration_s=45.0, engine="soa"))
+        a = _digest(simulate_forced(profile, seed=7, duration_s=45.0, engine="object"))
+        b = _digest(simulate_forced(profile, seed=7, duration_s=45.0, engine="soa"))
         assert a == b
 
 
@@ -137,23 +144,24 @@ class TestLazyPeerState:
     def test_lazy_equals_eager_both_engines(self, engine):
         base = _napa(1200)
         kw = dict(seed=7, duration_s=45.0, engine=engine)
-        a = _digest(simulate(replace(base, peer_state="eager"), **kw))
-        b = _digest(simulate(replace(base, peer_state="lazy"), **kw))
+        a = _digest(simulate_forced(base, peer_state="eager", **kw))
+        b = _digest(simulate_forced(base, peer_state="lazy", **kw))
         assert a == b
 
     @pytest.mark.parametrize("engine", ["object", "soa"])
     def test_mega_scale_config_matches_eager_at_test_scale(self, engine):
-        lazy = get_profile("mega-scale").scaled_swarm(2500)
-        assert lazy.peer_state == "lazy"
+        mega = get_profile("mega-scale")
+        assert select_peer_state(mega.swarm_size) == "lazy"
+        small = mega.scaled_swarm(2500)
         kw = dict(seed=7, duration_s=60.0, engine=engine)
-        a = _digest(simulate(lazy, **kw))
-        b = _digest(simulate(replace(lazy, peer_state="eager"), **kw))
+        a = _digest(simulate_forced(small, peer_state="lazy", **kw))
+        b = _digest(simulate_forced(small, peer_state="eager", **kw))
         assert a == b
 
     @pytest.mark.parametrize("engine", ["object", "soa"])
     def test_lazy_sparse_equals_dense(self, engine):
-        profile = replace(_napa(800), peer_state="lazy")
-        kw = dict(engine=engine, seed=7, duration_s=60.0)
+        profile = _napa(800)
+        kw = dict(engine=engine, seed=7, duration_s=60.0, peer_state="lazy")
         sparse = _digest(_run_with_population(profile, "sparse", **kw))
         dense = _digest(_run_with_population(profile, "dense", **kw))
         assert sparse == dense
@@ -163,8 +171,10 @@ class TestLazyPeerState:
         """The lazy counters expose the point of the whole layer: the
         resident per-remote state covers a strict subset of the swarm.
         They count protocol-level contacts, so both cores must agree."""
-        profile = replace(_napa(1200), peer_state="lazy")
-        res = simulate(profile, seed=7, duration_s=45.0, engine=engine)
+        profile = _napa(1200)
+        res = simulate_forced(
+            profile, engine=engine, peer_state="lazy", seed=7, duration_s=45.0
+        )
         stats = res.extras["engine_stats"]
         assert stats["peer_state"] == "lazy"
         lazy = stats["lazy"]
@@ -174,9 +184,9 @@ class TestLazyPeerState:
         assert lazy["score_row_misses"] >= lazy["score_rows_cached"] > 0
 
     def test_lazy_counters_engine_agnostic(self):
-        profile = replace(_napa(1200), peer_state="lazy")
-        a = simulate(profile, seed=7, duration_s=45.0, engine="object")
-        b = simulate(profile, seed=7, duration_s=45.0, engine="soa")
+        kw = dict(peer_state="lazy", seed=7, duration_s=45.0)
+        a = simulate_forced(_napa(1200), engine="object", **kw)
+        b = simulate_forced(_napa(1200), engine="soa", **kw)
         assert (
             a.extras["engine_stats"]["lazy"] == b.extras["engine_stats"]["lazy"]
         )

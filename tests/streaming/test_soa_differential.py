@@ -7,13 +7,16 @@ and signaling bytes, process the same number of events, and dispatch the
 same per-kind event counts.  Three layers pin that here:
 
 * the golden fixtures (produced by the pre-SoA object engine) are
-  replayed under ``engine="soa"`` — all three app profiles and all four
+  replayed under the SoA core — all three app profiles and all four
   chunk schedulers;
 * a randomized sweep (seeded parameter draws: app × scheduler × engine
   seed × duration × scale) runs both cores and compares full digests
   plus the dispatch counters;
-* the engine registry itself (unknown names rejected, ``REPRO_ENGINE``
-  honoured, result extras tagged with the mode that actually ran).
+* the engine registry itself (both cores registered, result extras
+  tagged with the mode that actually ran).
+
+The paper profiles run on the object core by themselves; the SoA side
+is forced through the test seam (:mod:`tests.seams`).
 
 See ``docs/engine-internals.md`` for the determinism rules that make
 byte identity possible, and for how to extend this suite.
@@ -25,17 +28,10 @@ from dataclasses import replace
 
 import pytest
 
-from repro.errors import ConfigurationError
-from repro.streaming.engine import Engine, EngineConfig, simulate
+from repro.streaming.engine import EngineConfig
 from repro.streaming.profiles import get_profile
 from repro.streaming.schedulers import SCHEDULER_NAMES
-from repro.streaming.soa import (
-    DEFAULT_ENGINE,
-    ENGINE_NAMES,
-    SoAEngine,
-    default_engine,
-    get_engine,
-)
+from repro.streaming.soa import ENGINES
 from repro.trace.store import trace_digest
 
 from tests.golden.regen_engine import (
@@ -47,6 +43,7 @@ from tests.golden.regen_engine import (
     SCHEDULER_GOLDEN_SCALE,
     SCHEDULER_HASHES_PATH,
 )
+from tests.seams import simulate_forced
 
 
 def _digests(result) -> dict:
@@ -76,10 +73,10 @@ def scheduler_golden():
 @pytest.mark.parametrize("app", ENGINE_GOLDEN_APPS)
 def test_soa_matches_engine_golden_hashes(app, golden):
     """The SoA core reproduces the pre-SoA object engine's bytes per app."""
-    result = simulate(
+    result = simulate_forced(
         get_profile(app),
-        engine_config=EngineConfig(**ENGINE_GOLDEN_KWARGS),
         engine="soa",
+        engine_config=EngineConfig(**ENGINE_GOLDEN_KWARGS),
     )
     expected = golden["hashes"][app]
     actual = {
@@ -102,10 +99,10 @@ def test_soa_matches_scheduler_golden_hashes(scheduler, scheduler_golden):
         get_profile(SCHEDULER_GOLDEN_APP).scaled(SCHEDULER_GOLDEN_SCALE),
         scheduler=scheduler,
     )
-    result = simulate(
+    result = simulate_forced(
         profile,
-        engine_config=EngineConfig(**SCHEDULER_GOLDEN_KWARGS),
         engine="soa",
+        engine_config=EngineConfig(**SCHEDULER_GOLDEN_KWARGS),
     )
     expected = scheduler_golden["hashes"][scheduler]
     actual = {
@@ -147,8 +144,8 @@ def test_randomized_soa_object_differential(app, scheduler, seed, duration_s, sc
     """Both cores, same seed → same bytes, same events, same dispatches."""
     profile = replace(get_profile(app).scaled(scale), scheduler=scheduler)
     config = EngineConfig(duration_s=duration_s, seed=seed)
-    obj = simulate(profile, engine_config=config, engine="object")
-    soa = simulate(profile, engine_config=config, engine="soa")
+    obj = simulate_forced(profile, engine="object", engine_config=config)
+    soa = simulate_forced(profile, engine="soa", engine_config=config)
     assert _digests(soa) == _digests(obj), (
         f"{app}/{scheduler} seed={seed}: the SoA core diverged from the "
         "object engine"
@@ -160,29 +157,5 @@ def test_randomized_soa_object_differential(app, scheduler, seed, duration_s, sc
 # -------------------------------------------------------- engine registry
 class TestEngineRegistry:
     def test_registry_names(self):
-        assert ENGINE_NAMES == ("object", "soa")
-        assert DEFAULT_ENGINE == "object"
-
-    def test_get_engine_resolves_classes(self, monkeypatch):
-        monkeypatch.delenv("REPRO_ENGINE", raising=False)
-        assert get_engine("object") is Engine
-        assert get_engine("soa") is SoAEngine
-        assert get_engine(None) is Engine  # default, no env override
-
-    def test_unknown_engine_rejected(self):
-        with pytest.raises(ConfigurationError):
-            get_engine("aos")
-
-    def test_env_default(self, monkeypatch):
-        monkeypatch.setenv("REPRO_ENGINE", "soa")
-        assert default_engine() == "soa"
-        assert get_engine(None) is SoAEngine
-
-    def test_env_unknown_rejected(self, monkeypatch):
-        monkeypatch.setenv("REPRO_ENGINE", "vliw")
-        with pytest.raises(ConfigurationError):
-            get_engine(None)
-
-    def test_explicit_name_beats_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_ENGINE", "soa")
-        assert get_engine("object") is Engine
+        assert sorted(ENGINES) == ["object", "soa"]
+        assert all(ENGINES[name].mode == name for name in ENGINES)
