@@ -23,7 +23,6 @@ byte identity possible, and for how to extend this suite.
 """
 
 import json
-import random
 from dataclasses import replace
 
 import pytest
@@ -38,10 +37,12 @@ from tests.golden.regen_engine import (
     ENGINE_GOLDEN_APPS,
     ENGINE_GOLDEN_KWARGS,
     HASHES_PATH,
+    RANDOM_CASE_COUNT,
     SCHEDULER_GOLDEN_APP,
     SCHEDULER_GOLDEN_KWARGS,
     SCHEDULER_GOLDEN_SCALE,
     SCHEDULER_HASHES_PATH,
+    random_cases,
 )
 from tests.seams import simulate_forced
 
@@ -118,26 +119,9 @@ def test_soa_matches_scheduler_golden_hashes(scheduler, scheduler_golden):
 
 
 # ------------------------------------------------------- randomized sweep
-def _random_cases(n: int) -> list[tuple[str, str, int, float, float]]:
-    """Seeded parameter draws — stable across runs, diverse across cases."""
-    rng = random.Random(20260808)
-    cases = []
-    for _ in range(n):
-        cases.append(
-            (
-                rng.choice(ENGINE_GOLDEN_APPS),
-                rng.choice(sorted(SCHEDULER_NAMES)),
-                rng.randrange(1, 10_000),
-                round(rng.uniform(8.0, 14.0), 1),
-                round(rng.uniform(0.35, 0.6), 2),
-            )
-        )
-    return cases
-
-
 @pytest.mark.parametrize(
     "app,scheduler,seed,duration_s,scale",
-    _random_cases(6),
+    random_cases(RANDOM_CASE_COUNT),
     ids=lambda v: str(v),
 )
 def test_randomized_soa_object_differential(app, scheduler, seed, duration_s, scale):
