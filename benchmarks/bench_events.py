@@ -1,10 +1,10 @@
 """Performance benchmarks: the event-queue schedulers in isolation.
 
 Schedule/dispatch throughput of the calendar queue (:class:`EventQueue`)
-against the binary-heap reference (:class:`HeapEventQueue`) it replaced,
-on a workload shaped like the engine's: a steady population of periodic
-ticks interleaved with short-horizon one-shot events (chunk arrivals,
-remote pulls).  The summary in ``BENCH_engine.json`` tracks both, so the
+against the binary-heap reference it replaced (``HeapEventQueue``, kept
+in the test suite), on a workload shaped like the engine's: a steady
+population of periodic ticks interleaved with short-horizon one-shot
+events (chunk arrivals, remote pulls).  The summary in ``BENCH_engine.json`` tracks both, so the
 calendar queue's advantage — and any future regression of it — is
 visible without running the full engine.
 
@@ -20,12 +20,11 @@ from dataclasses import replace
 import pytest
 
 from repro.streaming.engine import EngineConfig, simulate
-from repro.streaming.events import EventQueue, HeapEventQueue
+from repro.streaming.events import EventQueue
 from repro.streaming.profiles import get_profile
 from repro.streaming.schedulers import SCHEDULER_NAMES
-from repro.streaming.soa import ENGINES
 
-from tests.seams import forced
+from tests.streaming.heap_queue import HeapEventQueue
 
 #: Workload shape, roughly the tvants engine mix: ~100 periodic sources
 #: ticking at 0.3 s, each tick scheduling ~1.5 one-shot follow-ups that
@@ -102,32 +101,23 @@ def test_engine_scheduler_throughput(benchmark, scheduler):
     benchmark.extra_info["simulated_s"] = SCHEDULER_BENCH_DURATION_S
 
 
-#: Engine-core comparison: every paper application at full profile scale
-#: (pplive's 4000-peer swarm is the largest population benchmarked here),
-#: under both the object reference core and the struct-of-arrays core.
-#: The two are byte-identical for this seed (the differential suite pins
-#: it), so the entries measure pure representation cost.  These profiles
-#: run on the object core by themselves; the SoA side is forced through
-#: the test seam.  See
-#: ``docs/engine-internals.md`` for why SoA trails the object core at
-#: NAPA-WINE partner widths.
+#: Per-application engine throughput: every paper application at full
+#: profile scale (pplive's 4000-peer swarm is the largest population
+#: benchmarked here).
 ENGINE_BENCH_DURATION_S = 30.0
 ENGINE_BENCH_APPS = ("pplive", "sopcast", "tvants")
 
 
-@pytest.mark.parametrize("engine", sorted(ENGINES))
 @pytest.mark.parametrize("app", ENGINE_BENCH_APPS)
-def test_engine_mode_throughput(benchmark, app, engine):
-    """Engine event throughput per engine core, per application."""
+def test_engine_mode_throughput(benchmark, app):
+    """Engine event throughput per application."""
     profile = get_profile(app)
     config = EngineConfig(duration_s=ENGINE_BENCH_DURATION_S, seed=42)
 
     def run():
         return simulate(profile, engine_config=config)
 
-    with forced(engine=engine):
-        result = benchmark.pedantic(run, rounds=2, iterations=1, warmup_rounds=1)
-    benchmark.extra_info["engine"] = result.extras["engine_mode"]
+    result = benchmark.pedantic(run, rounds=2, iterations=1, warmup_rounds=1)
     benchmark.extra_info["events"] = result.events_processed
     benchmark.extra_info["transfers"] = len(result.transfers)
     benchmark.extra_info["simulated_s"] = ENGINE_BENCH_DURATION_S

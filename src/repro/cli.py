@@ -26,9 +26,9 @@ backoff, poison-shard quarantine).
 ``simulate``, ``campaign``, ``replicate`` and ``robustness`` accept
 ``--scheduler {mesh-pull,rarest,edf,push}`` to run under an alternative
 chunk-scheduling policy (see :mod:`repro.streaming.schedulers`; env
-default: ``REPRO_SCHEDULER``).  The engine core and peer-state mode are
-not options: each run picks them from its profile and swarm size
-(:func:`repro.streaming.engine.select_engine`), and the trace bundle and
+default: ``REPRO_SCHEDULER``).  The peer-state mode is not an option:
+each run picks it from its swarm size
+(:data:`repro.streaming.engine.LAZY_AUTO_MIN`), and the trace bundle and
 run manifest record what ran.
 Global ``--log-level`` / ``--log-format`` control the structured logger
 (:mod:`repro.obs`; env: ``REPRO_LOG_LEVEL`` / ``REPRO_LOG_FORMAT``), and

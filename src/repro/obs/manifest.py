@@ -151,9 +151,8 @@ def manifest_from_campaign(
                 "ok": run is not None,
                 "from_checkpoint": bool(run.from_checkpoint) if run else False,
                 "engine_seed": int(run.result.config.seed) if run else None,
-                # The core and peer state the run actually used (the
-                # engine picks both; a resumed run reports its checkpoint's).
-                "engine": extras.get("engine_mode"),
+                # The peer state the run actually used (the engine picks
+                # it; a resumed run reports its checkpoint's).
                 "peer_state": extras.get("engine_stats", {}).get("peer_state"),
                 "retries": sum(1 for f in app_failures if f.stage == "simulate"),
                 "failed_stages": sorted({f.stage for f in app_failures}),
@@ -248,7 +247,6 @@ def render_manifest_summary(manifest: RunManifest) -> str:
                 "ok" if s.get("ok") else "FAILED",
                 "yes" if s.get("from_checkpoint") else "no",
                 str(s.get("engine_seed")),
-                s.get("engine") or "-",
                 s.get("peer_state") or "-",
                 str(s.get("retries", 0)),
                 str(len(sup["attempts"])) if sup.get("attempts") else "-",
@@ -260,7 +258,7 @@ def render_manifest_summary(manifest: RunManifest) -> str:
         lines.append(
             render_table(
                 [
-                    "app", "status", "ckpt", "seed", "engine", "peer state",
+                    "app", "status", "ckpt", "seed", "peer state",
                     "retries", "exec att", "exec", "wall s",
                 ],
                 shard_rows,

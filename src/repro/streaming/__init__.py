@@ -16,7 +16,7 @@ from repro.streaming.chunk import ChunkClock
 from repro.streaming.video import VideoConfig
 from repro.streaming.selection import SelectionPolicy, SelectionWeights
 from repro.streaming.availability import AvailabilityConfig, RemoteAvailability
-from repro.streaming.buffer import PlayoutBuffer
+from repro.streaming.buffer import SoAState
 from repro.streaming.profiles import (
     AppProfile,
     PROFILES,
@@ -29,7 +29,6 @@ from repro.streaming.profiles import (
     tvants,
 )
 from repro.streaming.engine import Engine, EngineConfig, SimulationResult, simulate
-from repro.streaming.soa import SoAEngine, SoAState
 
 __all__ = [
     "ChunkClock",
@@ -38,7 +37,7 @@ __all__ = [
     "SelectionWeights",
     "AvailabilityConfig",
     "RemoteAvailability",
-    "PlayoutBuffer",
+    "SoAState",
     "AppProfile",
     "PROFILES",
     "get_profile",
@@ -52,6 +51,4 @@ __all__ = [
     "EngineConfig",
     "SimulationResult",
     "simulate",
-    "SoAEngine",
-    "SoAState",
 ]

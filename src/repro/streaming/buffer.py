@@ -1,272 +1,296 @@
-"""Sliding playout buffer for full-protocol (probe) peers.
+"""The probes' playout buffers, as shared bitmaps.
 
 A live-streaming peer tries to hold every chunk inside a window trailing
-the live edge; chunks older than the window are evicted (played out).  The
-buffer also answers "which chunks am I missing" for the request scheduler
+the live edge; chunks older than the window are evicted (played out).
+The buffer answers "which chunks am I missing" for the request scheduler
 and serves as the ground-truth buffer map advertised to partners.
+
+All probes' buffers live in two ``(n_probes, capacity)`` boolean
+matrices — ``have`` (held) and ``inflight`` (requested or pushed, not yet
+arrived) — so the engine's per-tick kernels can read many probes' state
+in one array operation.
+
+Memory layout
+-------------
+Rows use a **sliding base**: probe ``pi``'s bit for chunk ``c`` lives at
+column ``c - base[pi]``.  When the live edge outruns the row, the row
+either *shifts* (slides left so the base catches up to the eviction
+frontier minus a safety margin) or *widens* (every row reallocates to a
+larger capacity — the resize-on-churn path).  Set bits that slide off the
+left edge are rescued into a per-probe Python ``low`` set, so membership
+answers stay exact regardless of margin sizing.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
+import numpy as np
 
 from repro.errors import SimulationError
-from repro.streaming.chunk import ChunkClock
+
+#: Always-False guard columns past each bitmap row's capacity.  The
+#: availability gather clamps its slot index to the first guard column
+#: instead of masking out-of-range slots — "past the row top" then reads
+#: as "not held" with zero extra array ops.
+_GUARD = 8
 
 
-class PlayoutBuffer:
-    """Set of held chunk ids inside a sliding window."""
+def window_chunks(window_s: float, interval: float) -> int:
+    """Width in chunks of a ``window_s``-second playout window (at least one)."""
+    return max(1, int(window_s / interval))
 
-    def __init__(self, clock: ChunkClock, window_s: float, join_time: float = 0.0) -> None:
-        if window_s <= 0:
+
+def _holes(seg: bytes, lo: int, hi: int, offset: int, limit: int | None) -> list[int]:
+    """Positions of the zero bytes of ``seg[lo:hi]``, newest first.
+
+    Each position ``i`` is reported as chunk id ``offset + i``; the scan
+    stops after ``limit`` holes.  Steady-state windows hold a handful of
+    holes, so a few C-level ``rfind`` calls beat a chain of numpy ops.
+    """
+    out: list[int] = []
+    i = seg.rfind(0, lo, hi)
+    while i >= 0:
+        out.append(offset + i)
+        if len(out) == limit:
+            break
+        i = seg.rfind(0, lo, i)
+    return out
+
+
+class SoAState:
+    """Shared buffer / in-flight bitmaps for all probes of one run.
+
+    ``have[pi, c - base[pi]]`` — probe ``pi`` holds chunk ``c``;
+    ``inflight[pi, c - base[pi]]`` — a request/push for ``c`` is pending.
+    ``base``/``evicted_to``/``inflight_n`` are plain Python lists (scalar
+    hot-path reads); ``low`` holds rescued chunk ids below each base.
+    ``shifts``/``resizes`` count the row-slide and reallocation events
+    (exposed for the unit tests and engine stats).
+    """
+
+    def __init__(
+        self, n_probes: int, window_chunks: int, interval: float, margin: int
+    ) -> None:
+        if window_chunks < 1:
             raise SimulationError("buffer window must be positive")
-        self._clock = clock
-        self._window_s = window_s
-        self._join_time = join_time
-        self._chunks: set[int] = set()
-        self._received_bytes = 0
-        # Eviction frontier: every chunk below this floor has been evicted,
-        # except late arrivals parked in _low_adds (see add/evict_below).
-        self._evicted_to = 0
-        self._low_adds: set[int] = set()
-        # Constants of the clock/window, precomputed: window_range runs on
-        # every engine tick and the dataclass-property recomputation cost
-        # dwarfs the arithmetic.  Same doubles, so identical results.
-        self._interval = clock.chunk_interval
-        self._window_chunks = max(1, int(window_s / self._interval))
-        self._join_floor = clock.latest_chunk(join_time)
-        # Known holes: ids ≤ _holes_top that are not held.  missing_in
-        # extends the frontier by the few ids the window advanced by and
-        # reads the (small) hole set instead of rescanning the window.
-        # ``_holes_asc`` mirrors the set as an ascending-sorted list kept
-        # exactly in sync (add() bisects the filled id out — holes are
-        # few and filled ones cluster near the live edge, so the delete
-        # touches a short tail), so the newest-first sweep walks a
-        # ready-sorted run of live holes with no per-entry liveness test.
-        self._holes: set[int] = set()
-        self._holes_asc: list[int] = []
-        self._holes_top = self._join_floor - 1
+        self.n = n_probes
+        self.window_chunks = window_chunks
+        self.interval = interval
+        self.margin = margin
+        self.capacity = window_chunks + margin + 64
+        # _GUARD always-False columns trail every row (see module top);
+        # all writes stay below ``capacity``, so they never flip.
+        self.have = np.zeros((n_probes, self.capacity + _GUARD), dtype=bool)
+        self.inflight = np.zeros((n_probes, self.capacity + _GUARD), dtype=bool)
+        self.base: list[int] = [0] * n_probes
+        #: Same values as ``base``, kept as an int64 vector so the
+        #: availability kernel can gather partner bases in one index.
+        self.base_arr = np.zeros(n_probes, dtype=np.int64)
+        self.evicted_to: list[int] = [0] * n_probes
+        self.inflight_n: list[int] = [0] * n_probes
+        self.low: list[set[int]] = [set() for _ in range(n_probes)]
+        self.shifts = 0
+        self.resizes = 0
 
-    @property
-    def window_chunks(self) -> int:
-        """Window width in chunks."""
-        return self._window_chunks
+    # ------------------------------------------------------------ membership
+    def has(self, pi: int, chunk: int) -> bool:
+        """Whether probe ``pi`` holds ``chunk`` (late arrivals included)."""
+        s = chunk - self.base[pi]
+        if s < 0:
+            return chunk in self.low[pi]
+        return s < self.capacity and bool(self.have[pi, s])
 
-    def window_range(self, t: float) -> range:
-        """Chunk ids inside the window at time ``t`` (oldest → live edge).
+    def have_add(self, pi: int, chunk: int) -> None:
+        """Record a received chunk (idempotent)."""
+        s = chunk - self.base[pi]
+        if s < 0:
+            # Below the row base: a late arrival parks in the low set and
+            # stays visible until the next floor advance.
+            self.low[pi].add(chunk)
+            return
+        if s >= self.capacity:
+            self._make_room(pi, chunk)
+            s = chunk - self.base[pi]
+        self.have[pi, s] = True
 
-        The lower edge never precedes the peer's join time: a live viewer
-        has no use for content streamed before it tuned in.
+    def inflight_has(self, pi: int, chunk: int) -> bool:
+        s = chunk - self.base[pi]
+        return 0 <= s < self.capacity and bool(self.inflight[pi, s])
+
+    def inflight_add(self, pi: int, chunk: int) -> None:
+        s = chunk - self.base[pi]
+        if s < 0:
+            # Requests are always at/above the window floor ≥ base; a
+            # negative slot means the sliding-base invariant broke.
+            raise SimulationError("in-flight chunk below the row base")
+        if s >= self.capacity:
+            self._make_room(pi, chunk)
+            s = chunk - self.base[pi]
+        if not self.inflight[pi, s]:
+            self.inflight[pi, s] = True
+            self.inflight_n[pi] += 1
+
+    def inflight_discard(self, pi: int, chunk: int) -> None:
+        s = chunk - self.base[pi]
+        if 0 <= s < self.capacity and self.inflight[pi, s]:
+            self.inflight[pi, s] = False
+            self.inflight_n[pi] -= 1
+
+    # ------------------------------------------------------------- tick scan
+    def _evict(self, pi: int, floor: int) -> None:
+        """Advance probe ``pi``'s eviction frontier to ``floor``.
+
+        Prefix-wipes the held and in-flight bits below the floor (with
+        ``inflight_n`` adjusted by the bits cleared) and prunes the
+        rescued low set.  Shared by the per-probe and cohort scans.
         """
-        live = int(t / self._interval)
-        oldest = max(live - self._window_chunks + 1, self._join_floor, 0)
-        return range(oldest, live + 1)
+        if floor > self.evicted_to[pi]:
+            cut = floor - self.base[pi]
+            if cut > 0:
+                if cut > self.capacity:
+                    cut = self.capacity
+                self.have[pi, :cut] = False
+                if self.inflight_n[pi]:
+                    infl_row = self.inflight[pi]
+                    dropped = int(np.count_nonzero(infl_row[:cut]))
+                    if dropped:
+                        self.inflight_n[pi] -= dropped
+                        infl_row[:cut] = False
+            low = self.low[pi]
+            if low:
+                self.low[pi] = {c for c in low if c >= floor}
+            self.evicted_to[pi] = floor
 
-    def add(self, chunk_id: int) -> bool:
-        """Insert a received chunk; returns False for duplicates."""
-        if chunk_id in self._chunks:
-            return False
-        self._chunks.add(chunk_id)
-        if chunk_id in self._holes:
-            self._holes.remove(chunk_id)
-            asc = self._holes_asc
-            i = bisect_left(asc, chunk_id)
-            del asc[i]
-        if chunk_id < self._evicted_to:
-            # Arrived after its window position was already swept; remember
-            # it so the incremental eviction scan still finds it.
-            self._low_adds.add(chunk_id)
-        self._received_bytes += self._clock.chunk_bytes
-        return True
-
-    def evict_before(self, t: float) -> int:
-        """Drop chunks that slid out of the window; returns count dropped."""
-        return self.evict_below(self.window_range(t).start)
-
-    def evict_below(self, floor: int) -> int:
-        """:meth:`evict_before` with the window floor already computed.
-
-        The engine tick computes the window once and drives eviction,
-        in-flight pruning, and the missing scan from the same range.
-        Incremental: only the ids between the previous floor and the new
-        one (plus any late re-adds below the frontier) can be stale, so the
-        scan is O(floor advance), not O(buffer size) — evicting the exact
-        same chunks a full scan would.
-        """
-        prev = self._evicted_to
-        if floor <= prev:
-            return 0
-        chunks = self._chunks
-        dropped = 0
-        for c in range(prev, floor):
-            if c in chunks:
-                chunks.remove(c)
-                dropped += 1
-        if self._low_adds:
-            stale = [c for c in self._low_adds if c < floor]
-            for c in stale:
-                self._low_adds.remove(c)
-                if c in chunks:
-                    chunks.remove(c)
-                    dropped += 1
-        asc = self._holes_asc
-        if asc and asc[0] < floor:
-            holes = self._holes
-            cut = bisect_left(asc, floor)
-            for c in asc[:cut]:
-                holes.remove(c)
-            del asc[:cut]
-        self._evicted_to = floor
-        return dropped
-
-    def has(self, chunk_id: int) -> bool:
-        return chunk_id in self._chunks
-
-    @property
-    def chunk_set(self) -> set[int]:
-        """The live set of held chunk ids (read-only by convention).
-
-        Hot-path callers test membership directly against this set; it is
-        mutated in place by add/evict, never reassigned, so a borrowed
-        reference always reflects the current buffer state.
-        """
-        return self._chunks
-
-    def has_many(self, chunk_ids: list[int]) -> list[bool]:
-        """:meth:`has` for a batch (hot-path helper for the engine)."""
-        held = self._chunks
-        return [c in held for c in chunk_ids]
-
-    def missing(
-        self,
-        t: float,
-        exclude: set[int] | None = None,
-        live_lag: int = 0,
-        limit: int | None = None,
-    ) -> list[int]:
-        """Window chunks not held (and not in ``exclude``), newest first.
-
-        Newest-first matches the latest-useful-chunk scheduling that live
-        systems favour: recent chunks are both most valuable to playback
-        and most available at partners.  ``live_lag`` skips the newest few
-        chunks — real players keep a small offset from the live edge so
-        that requested chunks have had time to diffuse to some providers.
-        ``limit`` truncates the scan once that many missing chunks are
-        found (the request scheduler never looks further than its per-tick
-        attempt budget).
-        """
-        window = self.window_range(t)
-        return self.missing_in(
-            window.stop - 1 - max(0, live_lag), window.start, exclude or set(), limit
-        )
+    def window_floor(self, t: float) -> int:
+        """The oldest chunk id inside the playout window at ``t``."""
+        floor = int(t / self.interval) - self.window_chunks + 1
+        return floor if floor > 0 else 0
 
     def tick_scan(
-        self, t: float, live_lag: int, exclude: set[int], limit: int | None
+        self, pi: int, t: float, live_lag: int, limit: int | None
     ) -> tuple[int, list[int]]:
-        """One combined per-tick buffer pass: evict, then missing scan.
+        """Evict + missing scan for one probe.
 
-        Returns ``(window floor, missing chunks newest-first)``.  The
-        engine tick calls this instead of ``window_range`` + ``evict_below``
-        + ``missing_in`` — the same window arithmetic drives both halves,
-        inlined into a single call into the buffer (this runs once per
-        engine tick; the bodies match :meth:`evict_below` and
-        :meth:`missing_in` exactly).
+        Returns the window floor and the missing (not held, not in
+        flight) chunks of ``[floor, live - live_lag]`` newest-first,
+        truncated to the newest ``limit``.  Holes are derived statelessly
+        — for ids at/above the floor, *missing* ≡ *bit not set* — because
+        held bits are only ever cleared by the eviction prefix wipe below
+        the floor.
         """
-        live = int(t / self._interval)
-        floor = live - self._window_chunks + 1
-        if floor < self._join_floor:
-            floor = self._join_floor
+        live = int(t / self.interval)
+        floor = live - self.window_chunks + 1
         if floor < 0:
             floor = 0
-        holes = self._holes
-        asc = self._holes_asc
-        chunks = self._chunks
-        # --- evict_below, inlined -------------------------------------
-        prev = self._evicted_to
-        if floor > prev:
-            for c in range(prev, floor):
-                if c in chunks:
-                    chunks.remove(c)
-            if self._low_adds:
-                stale = [c for c in self._low_adds if c < floor]
-                for c in stale:
-                    self._low_adds.remove(c)
-                    chunks.discard(c)
-            if asc and asc[0] < floor:
-                cut = bisect_left(asc, floor)
-                for c in asc[:cut]:
-                    holes.remove(c)
-                del asc[:cut]
-            self._evicted_to = floor
-        # --- missing_in, inlined --------------------------------------
+        self._evict(pi, floor)
+        b = self.base[pi]
         newest = live - live_lag
-        if newest > self._holes_top:
-            add = holes.add
-            append = asc.append
-            for c in range(self._holes_top + 1, newest + 1):
-                if c not in chunks:
-                    add(c)
-                    append(c)
-            self._holes_top = newest
-        out: list[int] = []
-        for c in reversed(asc):
-            if c < floor:
-                break  # ascending mirror: everything further is older
-            if c > newest or c in exclude:
-                continue
-            out.append(c)
-            if limit is not None and len(out) >= limit:
-                break
-        return floor, out
+        lo = floor - b
+        hi = newest + 1 - b
+        if hi <= lo:
+            return floor, []
+        if hi > self.capacity:
+            # Starvation-safe: grow/slide before scanning so the window
+            # always fits (a partnerless probe never sets bits, so only
+            # the scan itself advances its base).
+            self._make_room(pi, newest)
+            b = self.base[pi]
+            lo = floor - b
+            hi = newest + 1 - b
+        seg = (self.have[pi, lo:hi] | self.inflight[pi, lo:hi]).tobytes()
+        return floor, _holes(seg, 0, len(seg), floor, limit)
 
-    def missing_in(
-        self, newest: int, floor: int, exclude: set[int], limit: int | None
-    ) -> list[int]:
-        """:meth:`missing` over an explicit ``[floor, newest]`` chunk range
-        (the engine tick passes its already-computed window).
+    def tick_scan_all(
+        self, t: float, live_lag: int, limit: int | None
+    ) -> tuple[int, int, list[list[int]]]:
+        """Evict + missing scan for *every* probe in one batched pass.
 
-        Backed by the incremental hole set: only ids the window gained
-        since the last call are tested against the buffer; the descending
-        sweep then walks the sorted hole mirror in reverse — stopping at
-        the window floor — which yields exactly the chunks the full range
-        scan would (holes ∩ [floor, newest] minus ``exclude``,
-        descending).
+        The cohort-tick twin of :meth:`tick_scan`: the window floor and
+        the scan top are probe-independent (every probe shares the live
+        clock), so after the per-row eviction sweep the held∣in-flight
+        segment of all rows is fetched with **one** 2-D gather instead of
+        ``n`` per-row slice pairs.  Returns ``(floor, newest, holes)``
+        with one hole list per probe row — each exactly what
+        :meth:`tick_scan` would have produced for that row (same bits,
+        same truncation, same newest-first order).
         """
-        holes = self._holes
-        asc = self._holes_asc
-        if newest > self._holes_top:
-            held = self._chunks
-            add = holes.add
-            append = asc.append
-            for c in range(self._holes_top + 1, newest + 1):
-                if c not in held:
-                    add(c)
-                    append(c)
-            self._holes_top = newest
-        out: list[int] = []
-        for c in reversed(asc):
-            if c < floor:
-                break  # ascending mirror: everything further is older
-            if c > newest or c in exclude:
-                continue
-            out.append(c)
-            if limit is not None and len(out) >= limit:
-                break
-        return out
+        live = int(t / self.interval)
+        floor = live - self.window_chunks + 1
+        if floor < 0:
+            floor = 0
+        n = self.n
+        for pi in range(n):
+            self._evict(pi, floor)
+        newest = live - live_lag
+        if newest + 1 <= floor:
+            return floor, newest, [[] for _ in range(n)]
+        for pi in range(n):
+            if newest + 1 - self.base[pi] > self.capacity:
+                self._make_room(pi, newest)
+        # After eviction the base invariant ``base ≤ evicted_to = floor``
+        # holds for every row and make_room covered the top, so every
+        # gathered slot index sits in ``[0, capacity)``.
+        cols = (
+            np.arange(floor, newest + 1, dtype=np.int64)[None, :]
+            - self.base_arr[:, None]
+        )
+        ridx = np.arange(n)[:, None]
+        held = (self.have[ridx, cols] | self.inflight[ridx, cols]).tobytes()
+        w = newest + 1 - floor
+        return floor, newest, [
+            _holes(held, pi * w, (pi + 1) * w, floor - pi * w, limit)
+            for pi in range(n)
+        ]
 
-    def continuity(self, t: float) -> float:
-        """Fraction of the current window held — a playback-quality proxy."""
-        window = self.window_range(t)
-        n = len(window)
-        if n == 0:
-            return 1.0
-        held = sum(1 for c in window if c in self._chunks)
-        return held / n
+    # ------------------------------------------------------------ reshaping
+    def _make_room(self, pi: int, top_chunk: int) -> None:
+        """Make ``top_chunk`` addressable for probe ``pi``.
 
-    @property
-    def received_bytes(self) -> int:
-        """Total video payload accepted (duplicates excluded)."""
-        return self._received_bytes
-
-    def __len__(self) -> int:
-        return len(self._chunks)
+        First choice is a row *shift* (slide the base up to the eviction
+        frontier minus the margin); when even that cannot fit the chunk,
+        every row *widens* to the next power-of-two-ish capacity (churn
+        storms stall eviction frontiers, so one probe's backlog can force
+        the shared reallocation — the resize-on-churn test path).
+        """
+        b = self.base[pi]
+        new_base = self.evicted_to[pi] - self.margin
+        if new_base < b:
+            new_base = b
+        if top_chunk - new_base >= self.capacity:
+            need = top_chunk - new_base + 1 + 64
+            new_cap = self.capacity
+            while new_cap < need:
+                new_cap *= 2
+            pad = np.zeros((self.n, new_cap - self.capacity), dtype=bool)
+            self.have = np.concatenate([self.have, pad], axis=1)
+            self.inflight = np.concatenate([self.inflight, pad.copy()], axis=1)
+            self.capacity = new_cap
+            self.resizes += 1
+        shift = new_base - b
+        if shift > 0:
+            cap = self.capacity
+            have_row = self.have[pi]
+            infl_row = self.inflight[pi]
+            if shift < cap:
+                # Rescue still-set bits sliding off the left edge: they are
+                # late arrivals below the frontier, which stay visible
+                # until the next floor advance.
+                if have_row[:shift].any():
+                    ids = np.flatnonzero(have_row[:shift]) + b
+                    self.low[pi].update(ids.tolist())
+                dropped = int(np.count_nonzero(infl_row[:shift]))
+                if dropped:  # provably unreachable; keeps the count exact
+                    self.inflight_n[pi] -= dropped
+                have_row[: cap - shift] = have_row[shift:cap].copy()
+                have_row[cap - shift : cap] = False
+                infl_row[: cap - shift] = infl_row[shift:cap].copy()
+                infl_row[cap - shift : cap] = False
+            else:
+                if have_row.any():
+                    ids = np.flatnonzero(have_row) + b
+                    self.low[pi].update(ids.tolist())
+                self.inflight_n[pi] -= int(np.count_nonzero(infl_row))
+                have_row[:] = False
+                infl_row[:] = False
+            self.base[pi] = new_base
+            self.base_arr[pi] = new_base
+            self.shifts += 1

@@ -16,6 +16,7 @@ Everything stochastic draws from named, seeded RNG streams
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -38,7 +39,7 @@ from repro.population.sparse import (
     generate_sparse_swarm,
 )
 from repro.streaming.availability import RemoteAvailability
-from repro.streaming.buffer import PlayoutBuffer
+from repro.streaming.buffer import SoAState, window_chunks
 from repro.streaming.events import EventQueue
 from repro.streaming.profiles import AppProfile
 from repro.streaming.schedulers import get_scheduler
@@ -76,14 +77,30 @@ FIREWALL_DROP_PROB = 0.8
 #: "cache audit"): evicted entries are recomputed bit-identically on the
 #: next miss, so the bounds affect memory only, never the trace.
 _PARTNER_CTX_MAX = 8
-_THR_CACHE_MAX = 4096
 
-#: Entry cap on the swarm-wide CDF memo.  Keys are holder score tuples;
-#: at mega scale the distinct-sequence space is large enough to grow the
-#: memo without bound, so past the cap it is dropped wholesale and warms
-#: back up (entries are pure functions of their key — recomputed
-#: bit-identically, memory-only effect).
-_CDF_CACHE_MAX = 65_536
+#: Largest (chunks × partners) availability question answered by the
+#: scalar per-chunk scan; anything larger builds the availability matrix.
+#: The paper profiles ask for ~2 holes × 15–40 partners per tick, where a
+#: few Python compares beat the fixed cost of a chain of numpy calls; the
+#: 200-partner napa-scale windows amortise the matrix.
+_SCALAR_PAIRS_MAX = 400
+
+#: Extra chunk-range coverage built into each availability-threshold
+#: matrix, so the per-tick lookup only rebuilds when the live edge crosses
+#: the covered top (amortises the vectorised rebuild over many ticks).
+_THR_SLACK = 256
+
+#: Blockwise availability evaluation (lazy peer-state mode): threshold
+#: rows are grouped into fixed chunk-id spans of this many rows, built on
+#: first touch and reused across ticks — the thresholds are t-independent
+#: chunk constants, so a cached block is bit-for-bit the rows the per-tick
+#: rebuild would produce.
+_THR_BLOCK = 64
+
+#: Eviction budget for the block cache, in blocks.  The live window walks
+#: upward, so the lowest block id is evicted first; an evicted block that
+#: is touched again rebuilds bit-identically (memory-only bound).
+_THR_BLOCKS_MAX = 8
 
 #: Byte budget for the lazy engine's LRU of on-demand remote score rows
 #: (one float64 per peer per cached probe).  Large enough that every
@@ -256,26 +273,24 @@ class _RemapLatRow:
         return v
 
 
-class _PeerState:
-    """Discovery / partner-management state shared by both engine cores.
+class ProbeState:
+    """Discovery / partner-management state of one probe.
+
+    ``pi`` is the probe index (``gidx - n_remote``) — the probe's row in
+    the shared :class:`~repro.streaming.buffer.SoAState` bitmaps and in
+    every per-probe score matrix.
 
     ``known`` and ``partners`` stay Python sets — set iteration order is
     part of the deterministic trace (it decides candidate ordering and the
     per-partner RNG draw sequence) — but the hot path reads them through
     cached ``np.fromiter`` materialisations refreshed only at mutation
-    points, where the original code rebuilt the arrays on every event.
-    Since an unmutated set iterates in a stable order, the cached arrays
-    are element-for-element identical to per-event rebuilds.
-
-    Buffer / in-flight representation lives in the subclasses: the object
-    engine's :class:`_ProbeState` carries a :class:`PlayoutBuffer` and a
-    Python in-flight set, the struct-of-arrays engine's
-    :class:`repro.streaming.soa.SoAProbe` holds a row index into shared
-    bitmap arrays.
+    points.  Since an unmutated set iterates in a stable order, the cached
+    arrays are element-for-element identical to per-event rebuilds.
     """
 
     __slots__ = (
         "gidx",
+        "pi",
         "known",
         "known_mask",
         "partners",
@@ -290,8 +305,9 @@ class _PeerState:
         "_filt_src",
     )
 
-    def __init__(self, gidx: int, n_peers: int, lazy: bool = False) -> None:
+    def __init__(self, gidx: int, pi: int, n_peers: int, lazy: bool = False) -> None:
         self.gidx = gidx
+        self.pi = pi
         self.known: set[int] = set()
         #: Dense mirror of ``known`` (discovery filters against it without
         #: the O(pool × known) set-probing of np.isin).
@@ -308,8 +324,8 @@ class _PeerState:
             _RemapCounts() if lazy else [0] * n_peers
         )
         #: Providers currently at/over the pipelining cap — the tiny
-        #: (usually empty) complement the vectorised kernels subtract
-        #: instead of re-checking ``busy`` per advertised pair.
+        #: (usually empty) complement the schedulers subtract instead of
+        #: re-checking ``busy`` per advertised pair.
         self.busy_over: set[int] = set()
         self._known_arr: np.ndarray = np.zeros(0, dtype=np.int64)
         self._known_len = 0
@@ -344,23 +360,6 @@ class _PeerState:
             self._filt_key = mask_key
             self._filt_src = arr
         return self._filt
-
-
-class _ProbeState(_PeerState):
-    """Object-engine probe: a per-probe :class:`PlayoutBuffer` plus a
-    Python in-flight set.  The differential reference representation."""
-
-    __slots__ = ("buffer", "chunks", "inflight")
-
-    def __init__(
-        self, gidx: int, buffer: PlayoutBuffer, n_peers: int, lazy: bool = False
-    ) -> None:
-        super().__init__(gidx, n_peers, lazy)
-        self.buffer = buffer
-        #: Borrowed reference to the buffer's live chunk set (mutated in
-        #: place, never reassigned) — saves a property hop per remote pull.
-        self.chunks = buffer.chunk_set
-        self.inflight: set[int] = set()
 
 
 @dataclass
@@ -426,11 +425,14 @@ class _BiasedSampler:
 
 
 class Engine:
-    """One experiment: one application profile on one synthetic Internet."""
+    """One experiment: one application profile on one synthetic Internet.
 
-    #: Engine-mode tag surfaced in result extras / trace metadata; the
-    #: struct-of-arrays subclass overrides it (see repro.streaming.soa).
-    mode = "object"
+    Per-probe buffer state lives in shared bitmaps
+    (:class:`~repro.streaming.buffer.SoAState`), so the per-tick hole scan
+    and the availability questions the schedulers ask can run as array
+    kernels when they are large (the 1.8×10^5-peer cohort ticks) and as
+    short scalar scans when they are small (the paper profiles).
+    """
 
     def __init__(
         self,
@@ -478,6 +480,25 @@ class Engine:
             self.config.max_probe_attempts if self._scheduler.truncate_scan else None
         )
         self._sched_push = self._scheduler.pushes
+        #: Cohort-tick availability state: ``_cohort_serial`` bumps once
+        #: per cohort build, ``_cohort_t``/``_cohort_floor`` stamp the
+        #: tick it covers.  A ctx whose ``cohort_serial`` matches holds a
+        #: prebuilt full-range availability block for this very tick, so
+        #: the per-probe availability question reduces to one row gather.
+        self._cohort_serial = 0
+        self._cohort_t = -1.0
+        self._cohort_floor = 0
+        #: Stacked remote scalars for the cohort build, memoised by the
+        #: participating ctxs' creation uids (collision-free, unlike
+        #: ``id()`` which the allocator recycles).
+        self._cohort_scalars_key: tuple = ()
+        self._cohort_delays: np.ndarray | None = None
+        self._cohort_ready: np.ndarray | None = None
+        self._ctx_uid = 0
+        #: Blockwise availability cache (lazy mode): block id → threshold
+        #: block over the stacked cohort scalars.  Cleared whenever the
+        #: participating ctx set (and so the column stacking) changes.
+        self._thr_blocks: dict[int, np.ndarray] = {}
 
     # ----------------------------------------------------------- directory
     def _build_directory(self, population: "list[RemotePeer] | SparseSwarm") -> None:
@@ -636,20 +657,30 @@ class Engine:
         self._mask_t1 = -np.inf
         self._mask: np.ndarray = np.zeros(n, dtype=bool)
 
-    def _make_probes(self, n_peers: int) -> list[_PeerState]:
-        """Construct per-probe protocol state — the engine-core seam.
-
-        The object engine builds one :class:`PlayoutBuffer` per probe; the
-        SoA engine overrides this to allocate shared bitmap arrays and
-        return row-indexed :class:`~repro.streaming.soa.SoAProbe` views.
-        """
-        video = self.profile.video
-        probes: list[_PeerState] = []
-        for k in range(self.n_probe):
-            gidx = self.n_remote + k
-            buffer = PlayoutBuffer(self.clock, video.buffer_window_s, join_time=0.0)
-            probes.append(_ProbeState(gidx, buffer, n_peers, self._lazy))
-        return probes
+    def _make_probes(self, n_peers: int) -> list[ProbeState]:
+        """Allocate the shared buffer bitmaps and one state per probe."""
+        interval = self.clock.chunk_interval
+        window = window_chunks(self.profile.video.buffer_window_s, interval)
+        # Margin below the eviction frontier kept addressable in-row: the
+        # longest a request can stay in flight (uplink backlog + slowest
+        # serialisation + latency slack), in chunks.  Purely a performance
+        # knob — bits that do slide off are rescued into the low sets.
+        slowest = self.clock.chunk_bytes * BITS_PER_BYTE / float(self._up.min())
+        margin = int((self.config.max_backlog_s + slowest + 0.2) / interval) + 4
+        if margin > 4096:
+            margin = 4096
+        self._soa = SoAState(self.n_probe, window, interval, margin)
+        #: Per-probe partner-context memos, keyed by the online partner
+        #: array's bytes (bounded; entries rebuild bit-identically on miss).
+        self._contexts: list[dict[bytes, dict]] = [{} for _ in range(self.n_probe)]
+        #: Per-probe (partner array, ctx) of the last lookup: the online
+        #: partner array is the same object while the online mask and the
+        #: partner set are unchanged, so most lookups are a pointer compare.
+        self._last_ctx: list = [None] * self.n_probe
+        return [
+            ProbeState(self.n_remote + k, k, n_peers, self._lazy)
+            for k in range(self.n_probe)
+        ]
 
     def _build_protocol_state(self) -> None:
         n = self.n_remote + self.n_probe
@@ -730,31 +761,6 @@ class Engine:
         # np.float64 elements hash/compare/format equal to plain floats,
         # so traces are unaffected either way.
         list_mirrors = (self.n_remote + self.n_probe) <= _LIST_MIRROR_MAX
-        #: Provider score rows as plain floats for cheap per-holder reads
-        #: (numpy rows beyond _LIST_MIRROR_MAX peers; absent in lazy mode,
-        #: where the partner context carries per-partner score lookups).
-        self._provider_scores_list: list | None = (
-            None
-            if self._lazy
-            else (
-                self._provider_scores.tolist()
-                if list_mirrors
-                else list(self._provider_scores)
-            )
-        )
-        #: Per-probe memo of provider-selection CDFs (as sorted float
-        #: lists), keyed by the holders' *score* tuple: the CDF is a pure
-        #: function of the score sequence, so distinct holder sets with
-        #: equal scores share one entry — far fewer softmax evaluations
-        #: than holder-tuple keying, with bit-identical CDF values.  One
-        #: cache for the whole swarm (not per probe): equal score
-        #: sequences yield the same CDF no matter which probe asks.
-        self._cdf_cache: dict = {}
-        #: Entry budget for the CDF memo, read at the schedulers' insert
-        #: sites (they cannot import this module — circular).
-        self._cdf_cache_max = _CDF_CACHE_MAX
-        #: Per-probe memo of partner-array splits (see _partner_context).
-        self._partner_ctx: list[dict[bytes, tuple]] = [{} for _ in self._probes]
         # Per-probe one-way latency rows (the latency model only depends on
         # subnet/AS/CC equality, all static); nested lists for scalar reads
         # at legacy scales, numpy rows beyond _LIST_MIRROR_MAX peers, and
@@ -796,7 +802,7 @@ class Engine:
             self._features(self.n_remote + pi, cands)
         )
 
-    def _partner_scores_for(self, probe: _PeerState, cands: np.ndarray) -> np.ndarray:
+    def _partner_scores_for(self, probe: ProbeState, cands: np.ndarray) -> np.ndarray:
         """Partner-policy scores of ``cands`` from ``probe``'s viewpoint.
 
         Row gather when eager, on-demand subset scoring when lazy — the
@@ -886,7 +892,7 @@ class Engine:
         )
 
     # ------------------------------------------------------------- discovery
-    def _tracker_sample(self, probe: _ProbeState, k: int, t: float) -> np.ndarray:
+    def _tracker_sample(self, probe: ProbeState, k: int, t: float) -> np.ndarray:
         """Sample up to ``k`` new online peers for ``probe``.
 
         TVAnts-style AS-biased discovery oversamples same-AS peers by
@@ -932,7 +938,7 @@ class Engine:
             self._alias_tables[asn] = table
         return table
 
-    def _tracker_sample_alias(self, probe: _ProbeState, k: int, t: float) -> np.ndarray:
+    def _tracker_sample_alias(self, probe: ProbeState, k: int, t: float) -> np.ndarray:
         """Alias-sampled tracker/gossip reply — O(batch), not O(swarm).
 
         Draws candidates from a precomputed biased sampler over the whole
@@ -972,7 +978,7 @@ class Engine:
         keep = ~self._firewalled[arr] | (rng.random(len(arr)) >= FIREWALL_DROP_PROB)
         return arr[keep]
 
-    def _on_discovery(self, probe: _ProbeState) -> None:
+    def _on_discovery(self, probe: ProbeState) -> None:
         t = self._queue.now
         found = self._tracker_sample(probe, self.profile.contact_batch, t)
         hs = self.profile.handshake_bytes
@@ -984,7 +990,7 @@ class Engine:
         self._queue.schedule(t + self.profile.contact_interval_s, self._on_discovery, probe)
 
     # -------------------------------------------------------------- partners
-    def _on_partner_refresh(self, probe: _ProbeState) -> None:
+    def _on_partner_refresh(self, probe: ProbeState) -> None:
         t = self._queue.now
         rng = self._rng_engine
         online = self._online_mask(t)
@@ -1029,125 +1035,431 @@ class Engine:
         self._queue.schedule(t + p.partner_refresh_s, self._on_partner_refresh, probe)
 
     # ------------------------------------------------------------- streaming
-    def _provider_has(self, g: int, chunk: int, t: float) -> bool:
-        """Whether peer ``g`` can serve ``chunk`` at ``t`` (ground truth for
-        probes, the availability oracle for remotes)."""
-        if g >= self.n_remote:
-            return self._probes[g - self.n_remote].buffer.has(chunk)
-        return self.availability.has_chunk(g, chunk, t)
-
-    def _partner_context(self, pi: int, partners: np.ndarray) -> tuple:
-        """Split a partner array into oracle inputs, memoised per set.
-
-        Partner sets only change at refresh/churn boundaries, so the
-        remote/probe split, the fancy-indexed diffusion arrays, and the
-        per-column scan plan are reused across the many ticks in between.
-        The plan entry for column ``j`` is ``(gidx, remote_index, chunks)``
-        where ``chunks`` is the live buffer set for probe partners (None
-        for remotes, whose availability comes from the oracle row).  The
-        last slot maps a partner gidx to its provider score — the full
-        precomputed row when eager, a subset-scored dict when lazy
-        (identical doubles; see ``_build_protocol_state``).
-        """
-        key = partners.tobytes()
-        store = self._partner_ctx[pi]
-        ctx = store.get(key)
-        if ctx is not None:
-            thr_cache = ctx[4]
-            if len(thr_cache) > _THR_CACHE_MAX:
-                # Age out the oldest (lowest-id) half: the tick scan only
-                # consults chunks near the live edge, so low ids are dead
-                # weight.  Entries are a pure function of (chunk, ctx) and
-                # are recomputed bit-identically on miss, so pruning cannot
-                # perturb the trace — it only bounds long-run memory.
-                for c in sorted(thr_cache)[: len(thr_cache) // 2]:
-                    del thr_cache[c]
-            return ctx
-        is_remote = partners < self.n_remote
-        delays_arr, ready_arr = self.availability.subset(partners[is_remote])
-        # Plain float lists: the tick loop derives per-chunk arrival
-        # thresholds from these with scalar arithmetic (same IEEE adds
-        # and compares as the vectorised subset_thresholds).
-        delays = delays_arr.tolist()
-        ready = ready_arr.tolist()
-        plan = []
-        probe_plan = []
-        k = 0
-        for g in partners.tolist():
-            if g < self.n_remote:
-                plan.append((g, k, None))
-                k += 1
-            else:
-                chunks = self._probes[g - self.n_remote].buffer.chunk_set
-                probe_plan.append((len(plan), g, chunks))
-                plan.append((g, -1, chunks))
-        if self._lazy:
-            sarr = self._provider_policy.scores(
-                self._features(self.n_remote + pi, partners)
-            )
-            score_of: "dict | list | np.ndarray" = dict(
-                zip(partners.tolist(), sarr.tolist())
-            )
-        else:
-            score_of = self._provider_scores_list[pi]
-        # Fifth slot: per-chunk availability-threshold memo (see
-        # _on_tick); ``probe_plan`` mirrors the probe-partner columns
-        # in ascending column order for the no-remote-holder fast path.
-        ctx = (k > 0, delays, ready, plan, {}, probe_plan, score_of)
-        if len(store) >= _PARTNER_CTX_MAX:
-            # Oldest partner set first (insertion order): sets displaced
-            # by churn/refresh rarely return, and when one does the ctx is
-            # rebuilt bit-identically from the same static inputs.
-            store.pop(next(iter(store)))
-        store[key] = ctx
-        return ctx
-
-    def _tick_probe(self, probe: _ProbeState, t: float) -> None:
-        """One probe's tick body (scan → prune → schedule requests).
-
-        Shared by the staggered per-probe tick event and the cohort tick;
-        rescheduling stays with the callers.
-        """
-        # One combined buffer pass drives eviction, the missing scan and
-        # (below) in-flight pruning from the same window arithmetic.  The
-        # scan limit is policy-dependent: mesh-pull takes the newest
-        # ``max_probe_attempts`` holes, ordering policies (rarest, EDF)
-        # need the whole window and budget their attempts themselves.
-        floor, lookahead = probe.buffer.tick_scan(
-            t, self._live_lag, probe.inflight, self._scan_limit
-        )
-        # Prune in-flight requests that slid out of the window (rebuild
-        # only when something actually fell below the floor; pruned ids
-        # are < floor, which the missing scan excluded by range already).
-        if probe.inflight and min(probe.inflight) < floor:
-            probe.inflight = {c for c in probe.inflight if c >= floor}
+    def _on_tick(self, probe: ProbeState) -> None:
+        """One probe's staggered tick: evict + scan, then schedule requests."""
+        t = self._queue.now
+        soa = self._soa
+        pi = probe.pi
+        floor, lookahead = soa.tick_scan(pi, t, self._live_lag, self._scan_limit)
         if lookahead and probe.partners:
-            online = self._online_mask(t)
-            partners = probe.online_partners(online, self._mask_key)
-            slots = self._max_parallel - len(probe.inflight)
+            partners = probe.online_partners(self._online_mask(t), self._mask_key)
+            slots = self._max_parallel - soa.inflight_n[pi]
             if slots > 0 and len(partners):
                 self._sched_requests(probe, t, lookahead, partners, slots)
-
-    def _on_tick(self, probe: _ProbeState) -> None:
-        t = self._queue.now
-        self._tick_probe(probe, t)
         self._queue.schedule(t + self._tick_interval, self._cb_tick, probe)
 
     def _on_tick_cohort(self) -> None:
         """Tick every probe in one event, ascending probe order.
 
-        Selected by ``profile.tick_cohort``: protocol decisions and RNG
-        draws are the ones the staggered path would make at the same
-        timestamps — probes do not mutate each other's buffers within a
-        tick — but the SoA engine overrides this hook to batch the
-        per-probe kernels into single multi-probe array passes.
+        Selected by ``profile.tick_cohort``.  Two passes amortise the
+        per-tick numpy dispatches across probes:
+
+        1. **Scan pass** — one multi-row evict+scan
+           (:meth:`SoAState.tick_scan_all`); the per-probe hole lists,
+           online partner sets and free request slots are collected as
+           work items.
+        2. **Schedule pass** — :meth:`_cohort_build` precomputes every
+           work item's availability block over the union of the actual
+           hole ranges, then the schedulers run in ascending probe order,
+           so the RNG stream and event insertion order are those of
+           ticking the probes one after another at the same timestamp.
+
+        Reordering scans before schedules is trace-invariant: a scan
+        only mutates its own row below the shared floor (never scanned
+        by others) and draws no randomness, so no schedule can observe
+        the difference.
         """
         t = self._queue.now
+        soa = self._soa
+        floor, newest, scans = soa.tick_scan_all(t, self._live_lag, self._scan_limit)
+        works = []
+        online = None
         for probe in self._probes:
-            self._tick_probe(probe, t)
+            holes = scans[probe.pi]
+            if holes and probe.partners:
+                if online is None:
+                    online = self._online_mask(t)
+                partners = probe.online_partners(online, self._mask_key)
+                slots = self._max_parallel - soa.inflight_n[probe.pi]
+                if slots > 0 and len(partners):
+                    ctx = self._context(probe.pi, partners)
+                    works.append((probe, holes, partners, slots, ctx))
+        if works:
+            # Cover the union of the works' actual hole ranges (hole lists
+            # are newest-first), not the whole scan window: at steady state
+            # holes cluster within a few chunks of the live edge.
+            # Per-chunk threshold and bitmap values are independent of the
+            # range start, so the precomputed blocks stay byte-identical.
+            cmin = min(w[1][-1] for w in works)
+            cmax = max(w[1][0] for w in works)
+            self._cohort_build(t, cmin, cmax, works)
+            for probe, holes, partners, slots, _ctx in works:
+                self._sched_requests(probe, t, holes, partners, slots)
         self._queue.schedule(t + self._tick_interval, self._cb_tick_cohort)
 
-    def _request_chunk(self, probe: _ProbeState, provider: int, chunk: int, t: float) -> bool:
+    def _cohort_build(self, t: float, floor: int, newest: int, works: list) -> None:
+        """Precompute availability blocks for one cohort tick.
+
+        ``[floor, newest]`` is the chunk range to cover — the caller
+        passes the union of the works' hole ranges, not the whole scan
+        window, so the span is a handful of rows at steady state.  Both
+        column families batch across the whole cohort:
+
+        * **Probe columns** — one 2-D fancy gather over the shared
+          bitmaps covering every ctx's probe-partner rows.
+        * **Remote columns** — one stacked threshold matrix over every
+          ctx's remote scalars (the per-ctx ``delays``/``ready`` vectors
+          concatenated once and memoised by ctx identity), compared
+          against ``t`` in a single elementwise pass.  The freshness
+          deadline ``gen + retention`` depends only on the chunk id, so
+          one span-length vector masks all ctxs at once.
+
+        Each ctx then gets its ``cohort_A`` block — remote columns
+        first, probe columns after, the exact column layout of
+        :meth:`_availability` — as two views into the stacked matrices
+        plus one concatenate.  The per-chunk values are elementwise the
+        ones the per-probe paths would compute (same threshold doubles,
+        same IEEE compares), so the row-gather fast path is
+        byte-identical.
+        """
+        soa = self._soa
+        self._cohort_serial += 1
+        serial = self._cohort_serial
+        ci = self._av_chunk_interval
+        retention = self._av_retention
+        check_fresh = retention < soa.window_chunks * ci
+        ctxs = []
+        for work in works:
+            ctx = work[4]
+            if ctx["cohort_serial"] != serial:
+                ctx["cohort_serial"] = serial
+                ctxs.append(ctx)
+        pcols = [c["probe_rows_arr"] for c in ctxs if c["probe_rows_arr"].size]
+        PB = None
+        if pcols:
+            all_rows = np.concatenate(pcols)
+            S = (
+                np.arange(floor, newest + 1, dtype=np.int64)[:, None]
+                - soa.base_arr[all_rows][None, :]
+            )
+            PB = soa.have[all_rows[None, :], np.minimum(S, soa.capacity)]
+        rctxs = [c for c in ctxs if c["n_rem"]]
+        AV = None
+        if rctxs:
+            key = tuple(c["uid"] for c in rctxs)
+            if key != self._cohort_scalars_key:
+                self._cohort_scalars_key = key
+                self._cohort_delays = np.concatenate(
+                    [c["delays"] for c in rctxs]
+                )
+                self._cohort_ready = np.concatenate([c["ready"] for c in rctxs])
+                self._thr_blocks.clear()
+            gens = np.arange(floor, newest + 1, dtype=np.float64) * ci
+            if self._lazy:
+                # Blockwise path: thresholds are t-independent chunk
+                # constants, so rows persist across ticks in fixed-span
+                # blocks and only the boolean compare runs per tick.
+                thr = self._thr_window(floor, newest, ci)
+            else:
+                thr = np.maximum(
+                    gens[:, None] + self._cohort_delays[None, :],
+                    self._cohort_ready[None, :],
+                )
+            AV = thr <= t
+            if check_fresh:
+                AV &= (gens + retention > t)[:, None]
+        roff = poff = 0
+        for ctx in ctxs:
+            avail = pb = None
+            n = ctx["n_rem"]
+            if n:
+                avail = AV[:, roff : roff + n]
+                roff += n
+            k = ctx["probe_rows_arr"].size
+            if k:
+                pb = PB[:, poff : poff + k]
+                poff += k
+            if avail is None:
+                ctx["cohort_A"] = pb
+            elif pb is None:
+                ctx["cohort_A"] = avail
+            else:
+                ctx["cohort_A"] = np.concatenate((avail, pb), axis=1)
+        self._cohort_t = t
+        self._cohort_floor = floor
+
+    def _thr_window(self, floor: int, newest: int, ci: float) -> np.ndarray:
+        """Assemble ``[floor, newest]`` threshold rows from cached blocks.
+
+        Each block covers chunk ids ``[b·B, (b+1)·B)`` against the current
+        stacked cohort scalars.  A block row for chunk ``c`` is
+        ``max(c·ci + delay, ready)`` — ``np.arange(lo, lo + B) * ci``
+        produces the same ``c·ci`` doubles as the window-wide arange, and
+        ``np.maximum`` is elementwise, so the assembled window is
+        bit-for-bit the matrix the eager path builds per tick.  The live
+        window only walks upward, so eviction drops the lowest block id;
+        a re-touched block rebuilds identically (memory-only bound).
+        """
+        blocks = self._thr_blocks
+        b0 = floor // _THR_BLOCK
+        b1 = newest // _THR_BLOCK
+        parts = []
+        for b in range(b0, b1 + 1):
+            blk = blocks.get(b)
+            if blk is None:
+                lo = b * _THR_BLOCK
+                gens_b = np.arange(lo, lo + _THR_BLOCK, dtype=np.float64) * ci
+                blk = np.maximum(
+                    gens_b[:, None] + self._cohort_delays[None, :],
+                    self._cohort_ready[None, :],
+                )
+                while len(blocks) >= _THR_BLOCKS_MAX:
+                    blocks.pop(min(blocks))
+                blocks[b] = blk
+            parts.append(blk)
+        stack = parts[0] if len(parts) == 1 else np.concatenate(parts)
+        lo0 = b0 * _THR_BLOCK
+        return stack[floor - lo0 : newest + 1 - lo0]
+
+    def _context(self, pi: int, partners: np.ndarray) -> dict:
+        """Probe ``pi``'s partner context for one online partner array.
+
+        Memoised per partner set — sets only change at refresh/churn
+        boundaries.  Holds the partners in plan order (the array order,
+        which decides holder order and so the provider draws), the remote
+        partners' diffusion scalars, each partner's provider score and the
+        cached threshold matrix of the array kernel.
+        """
+        last = self._last_ctx[pi]
+        if last is not None and last[0] is partners:
+            return last[1]
+        key = partners.tobytes()
+        store = self._contexts[pi]
+        ctx = store.get(key)
+        if ctx is None:
+            ctx = self._build_context(pi, partners)
+            if len(store) >= _PARTNER_CTX_MAX:
+                # Oldest partner set first (insertion order): sets displaced
+                # by churn/refresh rarely return, and when one does the ctx
+                # is rebuilt bit-identically from the same static inputs.
+                store.pop(next(iter(store)))
+            store[key] = ctx
+        self._last_ctx[pi] = (partners, ctx)
+        return ctx
+
+    def _build_context(self, pi: int, partners: np.ndarray) -> dict:
+        cols = partners.tolist()
+        nr = self.n_remote
+        is_remote = partners < nr
+        delays, ready = self.availability.subset(partners[is_remote])
+        n_rem = int(is_remote.sum())
+        # The availability matrix stores the remote columns as a leading
+        # block and the probe columns as a trailing block (each in plan
+        # order), so the kernel assembles it with one concatenate.
+        # ``plan`` maps back, in plan order: each partner's gidx, its
+        # remote column (-1 for probes) and its bitmap row (-1 for
+        # remotes); ``plan_cols`` is its matrix column.
+        plan: list[tuple[int, int, int]] = []
+        plan_cols = []
+        r = 0
+        for g in cols:
+            if g < nr:
+                plan.append((g, r, -1))
+                plan_cols.append(r)
+                r += 1
+            else:
+                plan.append((g, -1, g - nr))
+                plan_cols.append(n_rem + len(plan_cols) - r)
+        # Provider scores over the plan.  Eager: a gather from the
+        # precomputed swarm-wide row.  Lazy: scored on demand over just
+        # these columns — SelectionPolicy.scores is elementwise per
+        # candidate, so the subset compute yields the identical IEEE
+        # doubles the full-row gather would.
+        if self._lazy:
+            scores = self._provider_policy.scores(
+                self._features(self.n_remote + pi, partners)
+            )
+        else:
+            scores = self._provider_scores[pi][partners]
+        raw = scores.tobytes()
+        ctx = {
+            "plan": plan,
+            "probe_plan": [(g, row) for g, _k, row in plan if row >= 0],
+            "plan_cols": np.array(plan_cols, dtype=np.int64),
+            "plan_g": partners,
+            "n_rem": n_rem,
+            "delays": delays,
+            "ready": ready,
+            "delays_list": delays.tolist(),
+            "ready_list": ready.tolist(),
+            "plan_scores": scores,
+            # Each partner's provider score as its 8 float64 bytes: a
+            # holder list's scores joined are the provider draw's CDF
+            # memo key, the same bytes the array paths slice out.
+            "score_key": {g: raw[8 * j : 8 * j + 8] for j, g in enumerate(cols)},
+            # Probe-partner bitmap rows, in plan order, for the gather.
+            "probe_rows_arr": np.array(
+                [g - nr for g in cols if g >= nr], dtype=np.int64
+            ),
+            # Smallest delay among the ready remote partners, valid until
+            # the next partner's ready time (see _advertisers_scalar).
+            "dmin": np.inf,
+            "dmin_until": -np.inf,
+            # Threshold matrix of the array kernel (see _availability).
+            "thr_r0": 0,
+            "thr": None,
+            "fresh": None,
+            # Cohort-tick block (see _cohort_build): valid only while the
+            # serial matches the engine's current cohort build.
+            "cohort_serial": 0,
+            "cohort_A": None,
+            "uid": self._ctx_uid,
+        }
+        self._ctx_uid += 1
+        return ctx
+
+    def _advertisers(self, ctx: dict, chunks: list[int], t: float) -> Iterable[tuple]:
+        """The partners advertising each of ``chunks`` at ``t``, in plan order.
+
+        Buffer-map ground truth: remote partners through the diffusion
+        thresholds ``max(gen + delay, ready) <= t < gen + retention``,
+        probe partners through their ``have`` bitmaps.  Yields one
+        ``(holders, key)`` pair per chunk, in chunk order: ``key`` is the
+        float64 bytes of the holders' provider scores (the provider draw's
+        CDF memo key) where the array paths get it for free, else None.  Pipelining caps
+        are not applied (the schedulers drop ``busy_over`` providers at
+        each chunk's turn).  A pure read — no RNG, no state change.
+
+        Three evaluations, all yielding the same lists: a row gather when
+        this tick's cohort build already covered the ctx, a scalar
+        per-chunk scan when ``chunks × partners`` is at most
+        :data:`_SCALAR_PAIRS_MAX`, and the availability matrix otherwise.
+        """
+        if ctx["cohort_serial"] == self._cohort_serial and t == self._cohort_t:
+            A = ctx["cohort_A"][np.asarray(chunks) - self._cohort_floor]
+        elif len(chunks) * len(ctx["plan"]) <= _SCALAR_PAIRS_MAX:
+            return self._advertisers_scalar(ctx, chunks, t)
+        else:
+            A = self._availability(ctx, chunks, t)
+        # Permuting A's columns into plan order makes the flat ``nonzero``
+        # walk visit each row's advertisers in plan order; each row's
+        # advertisers are then one slice of the flat partner list.
+        ri, cj = A[:, ctx["plan_cols"]].nonzero()
+        gs = ctx["plan_g"][cj].tolist()
+        scores = ctx["plan_scores"][cj]
+        bounds = np.searchsorted(ri, np.arange(len(chunks) + 1)).tolist()
+        # Lazily, row by row: a newest-first scheduler that runs out of
+        # request slots never pays for the rows it does not reach.
+        return (
+            (gs[s0:s1], scores[s0:s1].tobytes())
+            for s0, s1 in zip(bounds, bounds[1:])
+        )
+
+    def _advertisers_scalar(self, ctx: dict, chunks: list[int], t: float) -> list[tuple]:
+        """:meth:`_advertisers` as a per-chunk Python scan.
+
+        A remote partner serves ``chunk`` iff ``max(gen + delay, ready) <=
+        t < gen + retention``; the max of two doubles is one of them, so
+        the test splits into ``gen + delay <= t`` and ``ready <= t`` — the
+        same IEEE adds and compares as the matrix kernel.  Since
+        ``gen + delay`` is monotone in ``delay``, some remote partner
+        serves the chunk iff the smallest delay among the ready ones
+        does; a chunk no remote can serve yet (or any more) skips the
+        remote columns and scans only the probe partners' bitmaps.
+        Scanned chunks sit at/above every partner's row base (a partner's
+        base is at most its own last floor, which is at most the
+        scanner's), so the bitmap slot is never negative.
+        """
+        soa = self._soa
+        have = soa.have
+        base = soa.base
+        cap = soa.capacity
+        probe_plan = ctx["probe_plan"]
+        delays = ctx["delays_list"]
+        ready = ctx["ready_list"]
+        if ready and t >= ctx["dmin_until"]:
+            # Ready flags only flip when t passes a partner's ready time.
+            ds = [d for d, r in zip(delays, ready) if r <= t]
+            later = [r for r in ready if r > t]
+            ctx["dmin"] = min(ds) if ds else np.inf
+            ctx["dmin_until"] = min(later) if later else np.inf
+        dmin = ctx["dmin"]
+        plan = ctx["plan"]
+        ci = self._av_chunk_interval
+        retention = self._av_retention
+        out = []
+        for chunk in chunks:
+            gen = chunk * ci
+            if gen + dmin <= t < gen + retention:
+                holders = [
+                    g
+                    for g, k, row in plan
+                    if (
+                        gen + delays[k] <= t and ready[k] <= t
+                        if k >= 0
+                        else (s := chunk - base[row]) < cap and have[row, s]
+                    )
+                ]
+            else:
+                holders = [
+                    g
+                    for g, row in probe_plan
+                    if (s := chunk - base[row]) < cap and have[row, s]
+                ]
+            out.append((holders, None))
+        return out
+
+    def _availability(self, ctx: dict, chunks: list[int], t: float) -> np.ndarray:
+        """Availability matrix of ``chunks`` (rows) against one partner ctx.
+
+        Columns are the ctx's block layout — remote partners first, probe
+        partners after, each in plan order.  Remote columns answer through
+        the diffusion-threshold matrix ``thr = max(gen + delay, ready)``
+        with the per-chunk freshness deadline ``gen + retention``; probe
+        columns gather straight from the shared ``have`` bitmaps.
+        """
+        chunks_arr = np.asarray(chunks, dtype=np.int64)
+        avail = pb = None
+        if ctx["n_rem"]:
+            cmin = min(chunks)
+            cmax = max(chunks)
+            thr = ctx["thr"]
+            r0 = ctx["thr_r0"]
+            if thr is None or cmin < r0 or cmax >= r0 + thr.shape[0]:
+                r0 = cmin
+                gens = (
+                    np.arange(r0, cmax + 1 + _THR_SLACK, dtype=np.float64)
+                    * self._av_chunk_interval
+                )
+                thr = np.maximum(
+                    gens[:, None] + ctx["delays"][None, :], ctx["ready"][None, :]
+                )
+                ctx["thr_r0"] = r0
+                ctx["thr"] = thr
+                ctx["fresh"] = gens + self._av_retention
+            rows = chunks_arr - r0
+            avail = thr[rows] <= t
+            # Freshness (gen + retention > t) is vacuously true for every
+            # scanned chunk when the retention window covers the playout
+            # window: chunks sit at/above floor ≥ live − W + 1, so
+            # t − gen < W·ci ≤ retention.  Only compare when it can bite.
+            if self._av_retention < self._soa.window_chunks * self._av_chunk_interval:
+                avail &= (ctx["fresh"][rows] > t)[:, None]
+        rows_arr = ctx["probe_rows_arr"]
+        if rows_arr.size:
+            soa = self._soa
+            # One 2-D gather for every probe column (slots are never
+            # negative, see _advertisers_scalar).  Slots past the row top
+            # clamp onto the always-False guard column: "not held".
+            S = chunks_arr[:, None] - soa.base_arr[rows_arr][None, :]
+            pb = soa.have[rows_arr[None, :], np.minimum(S, soa.capacity)]
+        if avail is None:
+            return pb
+        if pb is None:
+            return avail
+        return np.concatenate((avail, pb), axis=1)
+
+    def _request_chunk(self, probe: ProbeState, provider: int, chunk: int, t: float) -> bool:
         """Issue a chunk request; returns True when a transfer was queued.
 
         Recording and latency lookups are inlined (same rows, same tuples
@@ -1204,16 +1516,17 @@ class Engine:
         bn = up if up < dn else dn  # bottleneck_bps, inlined
         arrival = start + nbytes * BITS_PER_BYTE / bn + lat
         self._rec_append((start, ipl[provider], ipl[pg], nbytes, _KIND_VIDEO, bn))
-        probe.inflight.add(chunk)
+        self._soa.inflight_add(probe.pi, chunk)
         probe.busy[provider] += 1
         if probe.busy[provider] >= self._cap_out:
             probe.busy_over.add(provider)
         self._queue.schedule(arrival, self._cb_arrival, probe, chunk, provider)
         return True
 
-    def _on_chunk_arrival(self, probe: _ProbeState, chunk: int, provider: int) -> None:
-        probe.inflight.discard(chunk)
-        probe.buffer.add(chunk)
+    def _on_chunk_arrival(self, probe: ProbeState, chunk: int, provider: int) -> None:
+        soa = self._soa
+        soa.inflight_discard(probe.pi, chunk)
+        soa.have_add(probe.pi, chunk)
         if probe.busy[provider] > 0:
             probe.busy[provider] -= 1
             if probe.busy[provider] < self._cap_out:
@@ -1268,7 +1581,7 @@ class Engine:
             t + self.config.demand_rebalance_s, self._on_demand_rebalance
         )
 
-    def _schedule_pulls(self, remote: int, probe: _ProbeState, t0: float, t1: float) -> None:
+    def _schedule_pulls(self, remote: int, probe: ProbeState, t0: float, t1: float) -> None:
         """Draw the remote's pull times for one rebalance window, batched.
 
         The RNG draws (Poisson count, sorted uniform times) are identical
@@ -1319,7 +1632,7 @@ class Engine:
     def _on_remote_pull(
         self,
         remote: int,
-        probe: _ProbeState,
+        probe: ProbeState,
         delay: float,
         ready: float,
         times: list[float],
@@ -1333,7 +1646,8 @@ class Engine:
         the chain arguments.  The newest-serveable scan — the newest of
         the ≤ 6 chunks below ``want`` that the probe holds and the remote
         still lacks — is inlined here with the oracle's exact arithmetic
-        (``max(gen + delay, ready) > t`` or aged past retention).
+        (``max(gen + delay, ready) > t`` or aged past retention), reading
+        the probe's bitmap row directly.
         """
         t = times[i]
         pg = probe.gidx
@@ -1348,7 +1662,11 @@ class Engine:
             )
             want = wants[i]
             if want >= 0:
-                held = probe.chunks
+                soa = self._soa
+                pi = probe.pi
+                have = soa.have
+                b = soa.base[pi]
+                cap = soa.capacity
                 ci = self._av_chunk_interval
                 ret = self._av_retention
                 lo = want - 6
@@ -1356,7 +1674,8 @@ class Engine:
                     lo = 0
                 chunk = want
                 while chunk >= lo:
-                    if chunk in held:
+                    s = chunk - b
+                    if have[pi, s] if 0 <= s < cap else chunk in soa.low[pi]:
                         gen = chunk * ci
                         arrival = gen + delay
                         if ready > arrival:
@@ -1416,7 +1735,7 @@ class Engine:
             )
         if cohort:
             # All probes tick in one event (ascending probe order) so the
-            # SoA kernels can batch across the cohort.
+            # array kernels can batch across the cohort.
             self._queue.schedule(0.05, self._on_tick_cohort)
         self._queue.schedule(0.0, self._on_demand_rebalance)
 
@@ -1466,9 +1785,8 @@ class Engine:
         }
         if self._lazy:
             # Residency accounting for the lazy materialisation layer —
-            # counts, not floats, and identical across engine cores for a
-            # fixed seed (the touch sequence is part of the byte-identity
-            # contract).
+            # counts, not floats, fixed for a fixed seed (the touch
+            # sequence is part of the byte-identity contract).
             stats["lazy"] = {
                 "score_rows_cached": int(len(self._remote_rows)),
                 "score_row_hits": int(self._remote_rows.hits),
@@ -1497,7 +1815,7 @@ class Engine:
             profile=self.profile,
             config=self.config,
             events_processed=events,
-            extras={"engine_stats": stats, "engine_mode": self.mode},
+            extras={"engine_stats": stats},
         )
 
 
@@ -1517,9 +1835,6 @@ def simulate(
     generates the profile's audience, runs the engine, and returns the raw
     result.  The audience honours the profile's ``eu_audience_boost`` and
     ``probe_as_fraction`` (channel-popularity effects).
-
-    The engine core comes from the profile (:func:`select_engine`); both
-    cores are byte-identical for a fixed seed.
     """
     config = engine_config or EngineConfig(duration_s=duration_s, seed=seed)
     if world is None:
@@ -1556,20 +1871,5 @@ def simulate(
             PopulationConfig(size=profile.swarm_size, demographics=demographics),
             rngs["population"],
         )
-    cls = select_engine(profile)
-    return cls(world, testbed, profile, population, config).run()
+    return Engine(world, testbed, profile, population, config).run()
 
-
-def select_engine(profile: AppProfile) -> type[Engine]:
-    """The engine core a run of ``profile`` uses.
-
-    The SoA core when the profile ticks its probes as one cohort — the
-    regime its batched kernels were built for, where it is 2.2× faster at
-    1.8×10^5 peers — and the object core otherwise, which is faster on the
-    10^2–10^4-peer paper profiles (docs/engine-internals.md).
-    """
-    # Late import: repro.streaming.soa imports this module (Engine is its
-    # base class), so SoAEngine cannot be bound at import time.
-    from repro.streaming.soa import SoAEngine
-
-    return SoAEngine if profile.tick_cohort else Engine

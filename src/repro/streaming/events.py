@@ -27,14 +27,13 @@ binary heap this replaced:
 Together these give the same total order ``(t, seq)`` the heap produced,
 with O(1) amortised scheduling instead of O(log n) sift operations.
 
-:class:`HeapEventQueue` keeps the original heapq implementation as the
-differential-testing reference and the microbenchmark baseline
-(``benchmarks/bench_events.py``).
+The original heapq implementation lives on in the test suite
+(``tests/streaming/heap_queue.py``) as the differential-testing reference
+and the microbenchmark baseline (``benchmarks/bench_events.py``).
 """
 
 from __future__ import annotations
 
-import heapq
 from bisect import insort
 from heapq import heappop, heappush
 from typing import Any, Callable
@@ -208,50 +207,3 @@ class EventQueue:
     def __len__(self) -> int:
         return self._n
 
-
-class HeapEventQueue:
-    """The original heapq-based queue (reference implementation).
-
-    Kept for differential testing against :class:`EventQueue` and as the
-    baseline side of ``benchmarks/bench_events.py``; the engine itself
-    runs on the calendar queue.
-    """
-
-    def __init__(self) -> None:
-        self._heap: list[tuple[float, int, Callable[..., None], tuple[Any, ...]]] = []
-        self._seq = 0
-        self._now = 0.0
-        self._peak = 0
-
-    @property
-    def now(self) -> float:
-        return self._now
-
-    @property
-    def peak_depth(self) -> int:
-        return self._peak
-
-    def schedule(self, t: float, callback: Callable[..., None], *args: Any) -> None:
-        if t < self._now:
-            raise SimulationError(
-                f"event scheduled in the past: {t:.6f} < now {self._now:.6f}"
-            )
-        heapq.heappush(self._heap, (t, self._seq, callback, args))
-        self._seq += 1
-        if len(self._heap) > self._peak:
-            self._peak = len(self._heap)
-
-    def run_until(self, t_end: float) -> int:
-        processed = 0
-        heap = self._heap
-        pop = heapq.heappop
-        while heap and heap[0][0] <= t_end:
-            t, _seq, callback, args = pop(heap)
-            self._now = t
-            callback(*args)
-            processed += 1
-        self._now = max(self._now, t_end)
-        return processed
-
-    def __len__(self) -> int:
-        return len(self._heap)

@@ -24,6 +24,13 @@ from bisect import bisect_right
 
 import numpy as np
 
+#: Entry cap on the swarm-wide CDF memo.  Keys are holder score tuples;
+#: at mega scale the distinct-sequence space is large enough to grow the
+#: memo without bound, so past the cap it is dropped wholesale and warms
+#: back up (entries are pure functions of their key — recomputed
+#: bit-identically, memory-only effect).
+_CDF_CACHE_MAX = 65_536
+
 
 class ChunkScheduler:
     """Base strategy: subclasses implement :meth:`schedule_requests`."""
@@ -44,13 +51,26 @@ class ChunkScheduler:
     def bind(self, engine) -> None:
         """Attach to one engine run (called once, before any event)."""
         self._engine = engine
+        # The provider draw's inputs, bound once (it runs per decision).
+        self._random = engine._rng_engine.random
+        self._integers = engine._rng_engine.integers
+        self._sel_random = engine._rng_sel.random
+        self._explore_prob = engine._explore_prob
+        #: Memo of provider-selection CDFs (as sorted float lists), keyed
+        #: by the holders' score bytes: the CDF is a pure function of the
+        #: score sequence, so distinct holder sets with equal scores
+        #: share one entry.  One cache for the whole swarm: equal score
+        #: sequences yield the same CDF no matter which probe asks.
+        self._cdf_cache: dict = {}
+        self._cdf_from_scores = engine._provider_policy.cdf_from_scores
 
     # ------------------------------------------------------------- hooks
     def schedule_requests(self, probe, t: float, lookahead, partners, slots: int) -> None:
         """Issue up to ``slots`` chunk requests for one probe tick.
 
         ``lookahead`` is the probe's missing-chunk list, newest first;
-        ``partners`` the online partner array.  Implementations call
+        ``partners`` the online partner array.  Implementations ask
+        ``engine._advertisers`` who holds which chunk and call
         ``engine._request_chunk`` per decision.
         """
         raise NotImplementedError
@@ -58,80 +78,40 @@ class ChunkScheduler:
     def on_chunk_received(self, probe, chunk: int, provider: int, t: float) -> None:
         """Arrival hook (only called when :attr:`pushes` is True)."""
 
-    def schedule_requests_soa(self, probe, t: float, lookahead, partners, slots: int) -> None:
-        """Per-tick entry point under the struct-of-arrays engine core.
-
-        Default: run the object-path decision procedure — the SoA probe's
-        compatibility views (``chunks``/``inflight``/``buffer``) make it
-        correct for any policy, just without the array speedup.  The
-        built-in policies override this with vectorised kernels that read
-        the shared bitmaps directly; overrides must obey the same
-        determinism contract (RNG draw points, ascending-column holder
-        order) so both engine cores stay byte-identical.
-        """
-        self.schedule_requests(probe, t, lookahead, partners, slots)
-
     # ----------------------------------------------------------- helpers
-    def _advertised(self, probe, t: float, chunk: int, ctx) -> list[int]:
-        """Partners advertising ``chunk`` at ``t`` (buffer-map ground truth).
+    def _choose_provider(self, probe, advertised: tuple, score_key: dict) -> int | None:
+        """Awareness-weighted provider choice for one chunk, or None.
 
-        Uses the engine's cached partner context: remote partners through
-        the per-chunk diffusion thresholds, probe partners through their
-        live buffer sets.  The scan preserves ascending column order, so
-        the advertiser list is deterministic for a given partner set.
+        ``advertised`` is one ``(holders, key)`` entry of
+        ``engine._advertisers``.  Holders at the pipelining cap
+        (``probe.busy_over``) are dropped first; with none left the chunk
+        is skipped without an RNG draw.  Otherwise, with the profile's
+        ``explore_prob`` pick uniformly (one engine-stream draw), else
+        invert the softmax CDF of the holders' awareness scores with one
+        selection-stream uniform — exactly ``sample_index``'s
+        consumption.  The CDF is a pure function of the score sequence,
+        memoised by the scores' float64 bytes: ``key`` when the advertiser
+        lists came with it, else joined from ``score_key`` (a holder gidx
+        → its provider score's bytes).
         """
-        has_remotes, delays, ready, plan, thr_cache, _probe_plan, _score_of = ctx
-        eng = self._engine
-        thr_list = None
-        if has_remotes:
-            ent = thr_cache.get(chunk)
-            if ent is None:
-                ci = eng._av_chunk_interval
-                gen = chunk * ci
-                thr_list = [
-                    r if r > (m := gen + d) else m for d, r in zip(delays, ready)
-                ]
-                ent = (thr_list, min(thr_list), gen + eng._av_retention)
-                thr_cache[chunk] = ent
-            thr_list, _min_thr, fresh_until = ent
-            if t >= fresh_until:
-                thr_list = None  # aged out of every remote retention window
-        advertisers: list[int] = []
-        for g, k, chunks in plan:
-            if chunks is None:
-                if thr_list is not None and t >= thr_list[k]:
-                    advertisers.append(g)
-            elif chunk in chunks:
-                advertisers.append(g)
-        return advertisers
-
-    def _pick_holder(self, probe, holders: list[int], score_of=None) -> int:
-        """Awareness-weighted provider choice over ``holders``.
-
-        The exact decision procedure of the mesh-pull core: with the
-        profile's ``explore_prob`` pick uniformly (one engine-stream
-        draw), otherwise invert the memoised softmax CDF of the holders'
-        awareness scores with one selection-stream uniform.  ``score_of``
-        maps a holder gidx to its provider score — the partner context
-        carries it (full precomputed row when eager, subset-scored dict
-        when lazy, identical doubles); ``None`` falls back to the eager
-        engine-wide rows.
-        """
-        eng = self._engine
-        rng = eng._rng_engine
-        if rng.random() < eng._explore_prob:
-            return int(rng.integers(len(holders)))
-        if score_of is None:
-            score_of = eng._provider_scores_list[probe.gidx - eng.n_remote]
-        key = tuple([score_of[g] for g in holders])
-        cdf = eng._cdf_cache.get(key)
+        holders, key = advertised
+        busy_over = probe.busy_over
+        if busy_over and not busy_over.isdisjoint(holders):
+            holders = [g for g in holders if g not in busy_over]
+            key = None
+        if not holders:
+            return None
+        if self._random() < self._explore_prob:
+            return holders[int(self._integers(len(holders)))]
+        if key is None:
+            key = b"".join(map(score_key.__getitem__, holders))
+        cache = self._cdf_cache
+        cdf = cache.get(key)
         if cdf is None:
-            cdf = eng._provider_policy.cdf_from_scores(
-                np.array(key, dtype=np.float64)
-            ).tolist()
-            if len(eng._cdf_cache) >= eng._cdf_cache_max:
+            cdf = self._cdf_from_scores(np.frombuffer(key, dtype=np.float64)).tolist()
+            if len(cache) >= _CDF_CACHE_MAX:
                 # Pure memo past its entry budget: drop it wholesale and
                 # warm back up (bit-identical recomputes, memory-only).
-                eng._cdf_cache.clear()
-            eng._cdf_cache[key] = cdf
-        return bisect_right(cdf, eng._rng_sel.random())
+                cache.clear()
+            cache[key] = cdf
+        return holders[bisect_right(cdf, self._sel_random())]

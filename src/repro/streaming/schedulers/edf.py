@@ -19,8 +19,6 @@ checks.
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.streaming.schedulers.base import ChunkScheduler
 
 
@@ -54,85 +52,19 @@ class EdfScheduler(ChunkScheduler):
 
     def schedule_requests(self, probe, t, lookahead, partners, slots) -> None:
         eng = self._engine
-        ctx = eng._partner_context(probe.gidx - eng.n_remote, partners)
-        busy = probe.busy
-        cap = eng._cap_out
-        interval = eng._av_chunk_interval
-        window_chunks = probe.buffer.window_chunks
-        attempts = 0
-        max_attempts = eng._max_attempts
-        for chunk in self.order_candidates(lookahead, t, interval, window_chunks):
-            if slots <= 0 or attempts >= max_attempts:
-                break
-            attempts += 1
-            holders = [
-                g for g in self._advertised(probe, t, chunk, ctx) if busy[g] < cap
-            ]
-            if not holders:
-                continue
-            pick = self._pick_holder(probe, holders, ctx[6])
-            if eng._request_chunk(probe, holders[pick], chunk, t):
-                slots -= 1
-
-    def schedule_requests_soa(self, probe, t, lookahead, partners, slots) -> None:
-        """Deadline order against the shared arrays.
-
-        ``(chunk + W) * interval`` over an int64 array is the elementwise
-        IEEE twin of the scalar ``playout_deadline``, so the expired-chunk
-        filter is exact; deadlines increase strictly with the chunk id, so
-        the ascending-id sort *is* the deadline order (unique keys — no
-        tie-break ambiguity).  Attempts, busy filtering and the provider
-        draw mirror the object loop.
-        """
-        if not lookahead:
-            return
-        eng = self._engine
-        soa = eng._soa
-        window_chunks = soa.window_chunks
-        interval = eng._av_chunk_interval
-        if lookahead is soa.scan_list:
-            chunks_all = soa.scan_arr
-        else:
-            chunks_all = np.asarray(lookahead, dtype=np.int64)
-        sel = ((chunks_all + window_chunks) * interval > t).nonzero()[0]
-        if sel.size == 0:
-            return
-        sel = sel[np.argsort(chunks_all[sel], kind="stable")]
-        chunks_arr = chunks_all[sel]
-        ctx = eng._soa_partner_ctx(probe.pi, partners)
-        # Bounds from the full hole list (newest-first): any superset of
-        # the filtered subset's range steers coverage correctly.
-        A = eng._soa_availability(
-            ctx, chunks_arr, t, cmin=lookahead[-1], cmax=lookahead[0]
+        order = self.order_candidates(
+            lookahead, t, eng._av_chunk_interval, eng._soa.window_chunks
         )
-        # Flat advertised-pair walk over the plan-order permutation (see
-        # the mesh-pull kernel); rows come back in ascending row order,
-        # matching the deadline iteration, and holder-less chunks still
-        # consume an attempt below.  Holders are C-level slices of the
-        # flat partner list minus ``busy_over`` (the at-cap providers) —
-        # the same predicate the object loop checks pairwise.
-        ri, cj = A[:, ctx["plan_cols"]].nonzero()
-        gs_all = ctx["plan_g"][cj].tolist()
-        chunks_list = chunks_arr.tolist()
-        nrows = len(chunks_list)
-        bounds = np.searchsorted(ri, np.arange(nrows + 1)).tolist()
-        busy_over = probe.busy_over
+        if not order:
+            return
+        ctx = eng._context(probe.pi, partners)
         attempts = 0
         max_attempts = eng._max_attempts
-        for i in range(nrows):
+        # Holder-less chunks still consume an attempt.
+        for chunk, advertised in zip(order, eng._advertisers(ctx, order, t)):
             if slots <= 0 or attempts >= max_attempts:
                 break
             attempts += 1
-            s0 = bounds[i]
-            s1 = bounds[i + 1]
-            if s0 == s1:
-                continue
-            if busy_over:
-                holders = [g for g in gs_all[s0:s1] if g not in busy_over]
-            else:
-                holders = gs_all[s0:s1]
-            if not holders:
-                continue
-            pick = self._pick_holder(probe, holders, ctx["score_of"])
-            if eng._request_chunk(probe, holders[pick], chunks_list[i], t):
+            provider = self._choose_provider(probe, advertised, ctx["score_key"])
+            if provider is not None and eng._request_chunk(probe, provider, chunk, t):
                 slots -= 1

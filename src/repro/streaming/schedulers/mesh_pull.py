@@ -1,22 +1,16 @@
 """The original mesh-pull chunk-selection core, as a strategy object.
 
-This is the code that used to live inline in ``Engine._on_tick``, moved
-verbatim: the same operations in the same order on the same state, so the
-RNG draw sequence — and therefore every byte of the trace — is identical
-to the pre-refactor engine.  ``tests/golden/engine_trace_hashes.json``
-(generated *before* the extraction) pins that equivalence.
+The RNG draw sequence — and therefore every byte of the trace — is the
+pre-refactor engine's; ``tests/golden/engine_trace_hashes.json``
+(generated before the strategy extraction) pins that equivalence.
 
 Policy: walk the missing chunks newest-first, find the partners that can
-serve each (remotes through the cached per-chunk diffusion thresholds,
-probe partners through their live buffers), and pick one provider per
-chunk with the awareness-weighted softmax (or a uniform exploration draw).
+serve each (remotes through the per-chunk diffusion thresholds, probe
+partners through their buffers), and pick one provider per chunk with the
+awareness-weighted softmax (or a uniform exploration draw).
 """
 
 from __future__ import annotations
-
-from bisect import bisect_right
-
-import numpy as np
 
 from repro.streaming.schedulers.base import ChunkScheduler
 
@@ -34,187 +28,13 @@ class MeshPullScheduler(ChunkScheduler):
 
     def schedule_requests(self, probe, t, lookahead, partners, slots) -> None:
         eng = self._engine
-        pi = probe.gidx - eng.n_remote
-        has_remotes, delays, ready, plan, thr_cache, probe_plan, score_row = (
-            eng._partner_context(pi, partners)
-        )
-        # Outstanding-request counts are read straight off probe.busy:
-        # _request_chunk increments it for the picked provider, so the
-        # counts this tick sees are exactly the snapshot-plus-local-
-        # increments the old copied row held.
-        busy = probe.busy
-        cap = eng._cap_out
-        cdf_cache = eng._cdf_cache
-        cdf_cache_max = eng._cdf_cache_max
-        rng = eng._rng_engine
-        sel_rand = eng._rng_sel.random
-        explore_prob = eng._explore_prob
-        cache_get = thr_cache.get
-        ci = eng._av_chunk_interval
-        retention = eng._av_retention
-        # Per-chunk availability thresholds are chunk constants
-        # (``max(gen + delay, ready)`` per remote, the scalar twin
-        # of subset_thresholds); the oracle reduces to direct
-        # ``t >= threshold`` compares, with a min-threshold /
-        # freshness-deadline fast path that skips the whole
-        # candidate scan while no remote can possibly serve.
-        for chunk in lookahead:
+        ctx = eng._context(probe.pi, partners)
+        score_key = ctx["score_key"]
+        for chunk, advertised in zip(lookahead, eng._advertisers(ctx, lookahead, t)):
             if slots <= 0:
                 break
-            remotes_live = False
-            if has_remotes:
-                ent = cache_get(chunk)
-                if ent is None:
-                    gen = chunk * ci
-                    thr_list = [
-                        r if r > (m := gen + d) else m
-                        for d, r in zip(delays, ready)
-                    ]
-                    ent = (thr_list, min(thr_list), gen + retention)
-                    thr_cache[chunk] = ent
-                thr_list, min_thr, fresh_until = ent
-                # min over the thresholds: some remote serves the
-                # chunk iff any threshold ≤ t, i.e. the min is.
-                remotes_live = min_thr <= t < fresh_until
-            holders: list[int] = []
-            if not remotes_live:
-                # No remote partner has diffused this chunk yet (or
-                # it aged out everywhere): only probe partners can
-                # hold it.  Scanning just their columns preserves
-                # the ascending column order of the full scan.
-                if not probe_plan:
-                    continue
-                for _j, g, chunks in probe_plan:
-                    if busy[g] < cap and chunk in chunks:
-                        holders.append(g)
-            else:
-                # Candidate scan in ascending column order — the
-                # same holder ordering the vectorised mask produced.
-                for g, k, chunks in plan:
-                    if busy[g] >= cap:
-                        continue
-                    if chunks is None:
-                        if t < thr_list[k]:
-                            continue
-                    elif chunk not in chunks:
-                        continue
-                    holders.append(g)
-            if not holders:
-                continue
-            if rng.random() < explore_prob:
-                pick = int(rng.integers(len(holders)))
-            else:
-                # The selection CDF is a pure function of the
-                # holders' score sequence, so it is memoised by
-                # score tuple (computed through the exact softmax
-                # pipeline on a miss, stored as a float list); the
-                # draw itself still happens per decision — one
-                # uniform from the selection stream inverted with a
-                # right-bisect, exactly sample_index's consumption.
-                key = tuple([score_row[g] for g in holders])
-                cdf = cdf_cache.get(key)
-                if cdf is None:
-                    cdf = eng._provider_policy.cdf_from_scores(
-                        np.array(key, dtype=np.float64)
-                    ).tolist()
-                    if len(cdf_cache) >= cdf_cache_max:
-                        cdf_cache.clear()
-                    cdf_cache[key] = cdf
-                pick = bisect_right(cdf, sel_rand())
-            if eng._request_chunk(probe, holders[pick], chunk, t):
-                slots -= 1
-
-    def schedule_requests_soa(self, probe, t, lookahead, partners, slots) -> None:
-        """The same newest-first selection against the shared arrays.
-
-        One availability-matrix build replaces the per-chunk per-partner
-        threshold scans (the object path's dominant cost); the decision
-        loop then walks precomputed boolean rows.  Holder order stays the
-        ascending partner-column order of the object scan, empty candidate
-        sets are skipped without touching an RNG, and the provider draw is
-        the identical explore/CDF code — byte-identical traces.
-        """
-        if not lookahead:
-            return
-        eng = self._engine
-        soa = eng._soa
-        ctx = eng._soa_partner_ctx(probe.pi, partners)
-        # The tick scan's own array is reused when the engine hands its
-        # hole list straight through (identity ⇒ same scan, same order);
-        # sliced/custom lookaheads (the push seeding path) convert.
-        if lookahead is soa.scan_list:
-            chunks_arr = soa.scan_arr
-        else:
-            chunks_arr = np.asarray(lookahead, dtype=np.int64)
-        # The hole list is newest-first, so its ends bound the range.
-        A = eng._soa_availability(
-            ctx, chunks_arr, t, cmin=lookahead[-1], cmax=lookahead[0]
-        )
-        # Chunks nobody advertises are skipped without a draw in the
-        # object loop, and silent columns never become holders — so the
-        # decision loop only needs the advertised (chunk, partner) pairs.
-        # Permuting A's columns into plan order first makes the flat
-        # ``nonzero`` walk visit each row's advertisers in plan order —
-        # exactly the object scan's holder order.  Each row's holders are
-        # then one C-level slice of the flat partner list: the per-pair
-        # busy check reduces to subtracting ``busy_over`` (the providers
-        # at the pipelining cap — almost always empty), which is the same
-        # predicate ``busy[g] < cap`` evaluates pairwise.
-        ri, cj = A[:, ctx["plan_cols"]].nonzero()
-        if ri.size == 0:
-            return
-        gs_arr = ctx["plan_g"][cj]
-        gs_all = gs_arr.tolist()
-        nrows = A.shape[0]
-        bounds = np.searchsorted(ri, np.arange(nrows + 1)).tolist()
-        busy_over = probe.busy_over
-        # Provider scores in plan-column order (the context carries them:
-        # a row gather when eager, subset-scored when lazy — identical
-        # doubles, so the bytes-keyed CDF memo sees identical keys).
-        plan_scores = ctx["plan_scores"]
-        score_of = ctx["score_of"]
-        cdf_cache = eng._cdf_cache
-        cdf_cache_max = eng._cdf_cache_max
-        rng = eng._rng_engine
-        sel_rand = eng._rng_sel.random
-        explore_prob = eng._explore_prob
-        for r in range(nrows):
-            if slots <= 0:
-                break
-            s0 = bounds[r]
-            s1 = bounds[r + 1]
-            if s0 == s1:
-                continue
-            if busy_over:
-                holders = [g for g in gs_all[s0:s1] if g not in busy_over]
-                if not holders:
-                    continue
-                n_h = len(holders)
-            else:
-                holders = None
-                n_h = s1 - s0
-            chunk = lookahead[r]
-            if rng.random() < explore_prob:
-                pick = int(rng.integers(n_h))
-            else:
-                # One vectorised score gather replaces the per-holder
-                # list walk; the CDF memo keys on the scores' IEEE bytes
-                # — the same distinctions the object path's score-tuple
-                # key draws, producing bit-identical CDF lists.
-                if holders is None:
-                    scores = plan_scores[cj[s0:s1]]
-                else:
-                    scores = np.array(
-                        [score_of[g] for g in holders], dtype=np.float64
-                    )
-                key = scores.tobytes()
-                cdf = cdf_cache.get(key)
-                if cdf is None:
-                    cdf = eng._provider_policy.cdf_from_scores(scores).tolist()
-                    if len(cdf_cache) >= cdf_cache_max:
-                        cdf_cache.clear()
-                    cdf_cache[key] = cdf
-                pick = bisect_right(cdf, sel_rand())
-            g = holders[pick] if holders is not None else gs_all[s0 + pick]
-            if eng._request_chunk(probe, g, chunk, t):
+            # Pipelining caps apply at each chunk's turn, against the busy
+            # state the earlier requests of this tick left behind.
+            provider = self._choose_provider(probe, advertised, score_key)
+            if provider is not None and eng._request_chunk(probe, provider, chunk, t):
                 slots -= 1

@@ -56,8 +56,7 @@ class TraceBundle:
             "seed": result.config.seed,
             "swarm_size": result.profile.swarm_size,
             "scheduler": getattr(result.profile, "scheduler", "mesh-pull"),
-            # What the engine chose for this run: its core and peer state.
-            "engine": extras.get("engine_mode", "object"),
+            # What the engine chose for this run: its peer state.
             "peer_state": extras.get("engine_stats", {}).get("peer_state"),
             "events": result.events_processed,
             # The synthetic Internet is a pure function of its seed; storing
@@ -77,13 +76,14 @@ def engine_extras(meta: dict) -> dict:
     """The engine record of a bundle's meta, as :class:`SimulationResult` extras.
 
     A result rebuilt from a bundle (a checkpoint resume, a process-backend
-    shard) reports the core and peer state of the run that wrote it.
-    Bundles written before the peer state was recorded carry none.
+    shard) reports the peer state of the run that wrote it.  Bundles
+    written before the peer state was recorded carry none; the ``engine``
+    key older bundles carry names a core choice that no longer exists and
+    is ignored.
     """
-    extras: dict = {"engine_mode": meta.get("engine", "object")}
-    if meta.get("peer_state") is not None:
-        extras["engine_stats"] = {"peer_state": meta["peer_state"]}
-    return extras
+    if meta.get("peer_state") is None:
+        return {}
+    return {"engine_stats": {"peer_state": meta["peer_state"]}}
 
 
 def trace_digest(*arrays: np.ndarray) -> str:

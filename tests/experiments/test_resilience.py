@@ -10,7 +10,6 @@ from repro.faults.plan import ImpairmentPlan
 from repro.obs.manifest import manifest_from_campaign
 from repro.trace.store import load_trace_bundle, save_trace_bundle, trace_digest
 
-from tests.seams import forced
 
 SMALL = dict(duration_s=20.0, seed=3, scale=0.4)
 
@@ -211,10 +210,10 @@ class TestCheckpointResume:
         )
 
     def test_object_core_checkpoint_of_cohort_profile_resumes(self, tmp_path):
-        """A checkpoint written by the object core for a cohort profile —
-        what a campaign run under the old ``engine`` option left behind —
-        loads, resumes, and matches a fresh run (now on the SoA core)
-        byte for byte.  No engine guard rejects it."""
+        """A checkpoint whose meta names the engine core that wrote it —
+        what campaigns left behind before the object core was deleted —
+        loads, resumes, and matches a fresh run byte for byte.  No engine
+        guard rejects it and the old key is not carried forward."""
         cfg = CampaignConfig(
             apps=("napa-scale",),
             duration_s=15.0,
@@ -222,13 +221,13 @@ class TestCheckpointResume:
             scale=1200 / 180_000,
             checkpoint_dir=str(tmp_path),
         )
-        with forced(engine="object"):
-            old = run_campaign(cfg, backend="serial")
-        assert old.ok and old["napa-scale"].result.extras["engine_mode"] == "object"
-        # Bundles from before the peer state was recorded carry no entry.
+        assert run_campaign(cfg, backend="serial").ok
+        # Rewrite the bundle as an object-core checkpoint from before the
+        # peer state was recorded.
         path = tmp_path / "napa-scale.npz"
         bundle = load_trace_bundle(path)
-        assert bundle.meta["engine"] == "object"
+        assert "engine" not in bundle.meta
+        bundle.meta["engine"] = "object"
         del bundle.meta["peer_state"]
         save_trace_bundle(path, bundle)
 
@@ -238,15 +237,14 @@ class TestCheckpointResume:
         )
         assert resumed.ok and not resumed.failures
         assert resumed["napa-scale"].from_checkpoint
-        assert fresh["napa-scale"].result.extras["engine_mode"] == "soa"
         a, b = resumed["napa-scale"], fresh["napa-scale"]
         assert trace_digest(a.result.transfers, a.result.signaling) == trace_digest(
             b.result.transfers, b.result.signaling
         )
         assert a.report["BW"].download.B == b.report["BW"].download.B
-        # The manifest reports the core that wrote the checkpoint.
+        assert "engine_mode" not in a.result.extras
         [shard] = manifest_from_campaign(resumed).shards
-        assert (shard["engine"], shard["peer_state"]) == ("object", None)
+        assert shard["peer_state"] is None and "engine" not in shard
 
     def test_stale_checkpoint_falls_back_to_simulation(self, tmp_path):
         base = CampaignConfig(apps=("tvants",), checkpoint_dir=str(tmp_path), **SMALL)

@@ -14,14 +14,15 @@ regenerate when the behaviour change is intentional:
 
     PYTHONPATH=src python tests/golden/regen_engine.py
 
-``object_core_hashes.json`` (``--object-core``) freezes the output of the
-object engine core for every case the differential suites compared the
+``object_core_hashes.json`` freezes the output of the deleted object
+engine core for every case the differential suites compared the
 struct-of-arrays core against: full digests (transfers, signaling, hosts,
 events, per-kind dispatch and schedule counters, lazy residency counters)
-keyed by case name.  It was written by the object core itself, on the
-last tree that had one, so it stays the differential oracle after that
-core is gone.  **Never regenerate it**: any core that exists now would
-only be recording itself.
+keyed by case name.  The object core wrote it itself, on the last tree
+that had one, so it stays the differential oracle after that core is
+gone.  There is no regeneration command for it: the one core that exists
+now would only be recording itself.  This module keeps the case
+definitions and runners the suites replay it with.
 """
 
 from __future__ import annotations
@@ -202,8 +203,8 @@ def random_case_result(case: tuple):
     return simulate(profile, engine_config=EngineConfig(duration_s=duration_s, seed=seed))
 
 
-def scale_case_result(key: str):
-    """Run one :data:`SCALE_CASES` entry under the forcing it names."""
+def scale_case_result(case: dict):
+    """Run one :data:`SCALE_CASES`-shaped case under the forcing it names."""
     from dataclasses import replace
 
     from repro.config import RngBundle
@@ -216,7 +217,6 @@ def scale_case_result(key: str):
 
     from tests.seams import forced
 
-    case = SCALE_CASES[key]
     profile = get_profile(case["profile"]).scaled_swarm(case["size"])
     if "tick_cohort" in case:
         profile = replace(profile, tick_cohort=case["tick_cohort"])
@@ -239,18 +239,6 @@ def scale_case_result(key: str):
         return Engine(world, testbed, profile, population, config).run()
 
 
-def compute_object_core_hashes() -> dict:
-    from tests.seams import forced
-
-    hashes = {}
-    with forced(engine="object"):
-        for case in random_cases(RANDOM_CASE_COUNT):
-            hashes[random_case_key(case)] = full_digest(random_case_result(case))
-        for key in SCALE_CASES:
-            hashes[key] = full_digest(scale_case_result(key))
-    return {"scale_cases": SCALE_CASES, "hashes": hashes}
-
-
 def regenerate() -> pathlib.Path:
     HASHES_PATH.write_text(json.dumps(compute_hashes(), indent=2, sort_keys=True) + "\n")
     return HASHES_PATH
@@ -263,17 +251,8 @@ def regenerate_schedulers() -> pathlib.Path:
     return SCHEDULER_HASHES_PATH
 
 
-def regenerate_object_core() -> pathlib.Path:
-    OBJECT_CORE_HASHES_PATH.write_text(
-        json.dumps(compute_object_core_hashes(), indent=2, sort_keys=True) + "\n"
-    )
-    return OBJECT_CORE_HASHES_PATH
-
-
 if __name__ == "__main__":
-    if "--object-core" in sys.argv[1:]:
-        print(f"wrote {regenerate_object_core()}")
-    elif "--schedulers" in sys.argv[1:]:
+    if "--schedulers" in sys.argv[1:]:
         print(f"wrote {regenerate_schedulers()}")
     else:
         print(f"wrote {regenerate()}")

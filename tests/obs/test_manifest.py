@@ -98,7 +98,8 @@ class TestCampaignManifest:
         # Per-shard stage timings came through the telemetry pipe.
         assert "shard/simulate" in shard["telemetry"]["timers"]
         # What the engine chose for the run, under any backend.
-        assert (shard["engine"], shard["peer_state"]) == ("object", "eager")
+        assert shard["peer_state"] == "eager"
+        assert "engine" not in shard
 
     def test_engine_and_capture_counters_present(self, manifest):
         counters = manifest.telemetry["counters"]
@@ -177,7 +178,7 @@ class TestSummary:
         assert "COUNTERS" in out
         assert "tvants" in out
         assert "engine/events" in out
-        assert "peer state" in out and "object" in out and "eager" in out
+        assert "peer state" in out and "eager" in out
 
     def test_summary_surfaces_peak_rss(self, manifest):
         out = render_manifest_summary(manifest)

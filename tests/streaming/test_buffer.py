@@ -1,9 +1,9 @@
-"""Sliding playout buffer."""
+"""Sliding playout buffer laws, on the shared bitmaps (one probe row)."""
 
 import pytest
 
 from repro.errors import SimulationError
-from repro.streaming.buffer import PlayoutBuffer
+from repro.streaming.buffer import SoAState, window_chunks
 from repro.streaming.chunk import ChunkClock
 from repro.units import kbps
 
@@ -14,8 +14,12 @@ def clock() -> ChunkClock:
 
 
 @pytest.fixture()
-def buf(clock) -> PlayoutBuffer:
-    return PlayoutBuffer(clock, window_s=10.0)
+def buf(clock) -> SoAState:
+    return SoAState(1, window_chunks(10.0, clock.chunk_interval), clock.chunk_interval, 8)
+
+
+def holes(buf: SoAState, t: float, live_lag: int = 0) -> list[int]:
+    return buf.tick_scan(0, t, live_lag, None)[1]
 
 
 class TestWindow:
@@ -23,85 +27,57 @@ class TestWindow:
         assert buf.window_chunks == 30  # 10 s at 3 chunks/s
 
     def test_window_range_at_start(self, buf):
-        rng = buf.window_range(1.0)
-        assert rng.stop - 1 == 3  # live edge
-        assert rng.start == 0  # clipped at join time
+        assert holes(buf, 1.0)[0] == 3  # live edge
+        assert buf.window_floor(1.0) == 0  # clipped at the stream start
 
     def test_window_slides(self, buf):
-        rng = buf.window_range(60.0)
-        assert rng.stop - 1 == 180
-        assert rng.start == 180 - 30 + 1
-
-    def test_join_time_floor(self, clock):
-        buf = PlayoutBuffer(clock, window_s=10.0, join_time=100.0)
-        rng = buf.window_range(101.0)
-        assert rng.start >= clock.latest_chunk(100.0)
+        assert holes(buf, 60.0)[0] == 180
+        assert buf.window_floor(60.0) == 180 - 30 + 1
 
     def test_bad_window_rejected(self, clock):
         with pytest.raises(SimulationError):
-            PlayoutBuffer(clock, window_s=0.0)
+            SoAState(1, 0, clock.chunk_interval, 8)
 
 
 class TestAddEvict:
     def test_add_and_has(self, buf):
-        assert buf.add(5)
-        assert buf.has(5)
-        assert not buf.has(6)
+        buf.have_add(0, 5)
+        assert buf.has(0, 5)
+        assert not buf.has(0, 6)
 
     def test_duplicate_add_rejected(self, buf):
-        assert buf.add(5)
-        assert not buf.add(5)
-        assert len(buf) == 1
-
-    def test_received_bytes_counts_once(self, buf, clock):
-        buf.add(1)
-        buf.add(1)
-        buf.add(2)
-        assert buf.received_bytes == 2 * clock.chunk_bytes
+        buf.have_add(0, 5)
+        buf.have_add(0, 5)
+        assert int(buf.have.sum()) == 1
 
     def test_evict_before(self, buf):
         for c in range(10):
-            buf.add(c)
-        dropped = buf.evict_before(60.0)  # window floor is now 151
-        assert dropped == 10
-        assert len(buf) == 0
+            buf.have_add(0, c)
+        floor, _ = buf.tick_scan(0, 60.0, 0, None)
+        assert floor == 151
+        assert not any(buf.has(0, c) for c in range(10))
+        assert not buf.have.any()
 
 
 class TestMissing:
     def test_newest_first(self, buf):
-        missing = buf.missing(2.0)
+        missing = holes(buf, 2.0)
         assert missing[0] == 6  # live edge at t=2
         assert missing == sorted(missing, reverse=True)
 
     def test_excludes_held_and_inflight(self, buf):
-        buf.add(6)
-        missing = buf.missing(2.0, exclude={5})
+        buf.have_add(0, 6)
+        buf.inflight_add(0, 5)
+        missing = holes(buf, 2.0)
         assert 6 not in missing and 5 not in missing
 
     def test_live_lag_skips_newest(self, buf):
-        missing = buf.missing(2.0, live_lag=2)
-        assert missing[0] == 4
+        assert holes(buf, 2.0, live_lag=2)[0] == 4
 
     def test_live_lag_zero_default(self, buf):
-        assert buf.missing(2.0)[0] == 6
+        assert holes(buf, 2.0)[0] == 6
 
     def test_empty_when_all_held(self, buf):
-        for c in buf.window_range(2.0):
-            buf.add(c)
-        assert buf.missing(2.0) == []
-
-
-class TestContinuity:
-    def test_empty_buffer(self, buf):
-        assert buf.continuity(5.0) == 0.0
-
-    def test_full_window(self, buf):
-        for c in buf.window_range(5.0):
-            buf.add(c)
-        assert buf.continuity(5.0) == 1.0
-
-    def test_partial(self, buf):
-        window = list(buf.window_range(5.0))
-        for c in window[: len(window) // 2]:
-            buf.add(c)
-        assert 0.3 < buf.continuity(5.0) < 0.7
+        for c in range(buf.window_floor(2.0), 7):
+            buf.have_add(0, c)
+        assert holes(buf, 2.0) == []

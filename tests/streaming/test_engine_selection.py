@@ -1,35 +1,28 @@
-"""Each run picks its own engine core and peer-state mode.
+"""Each run picks its own peer-state mode.
 
-The core follows the profile (SoA iff ``tick_cohort``) and the peer state
-follows the directory size (lazy iff remotes + probes reach
-``LAZY_AUTO_MIN``).  Nothing overrides either choice: no keyword, no CLI
-flag, no environment variable.  The table below is the contract for
+The peer state follows the directory size (lazy iff remotes + probes
+reach ``LAZY_AUTO_MIN``).  Nothing overrides the choice: no keyword, no
+CLI flag, no environment variable.  The table below is the contract for
 every registered profile at its registered size; a new profile must be
 added to it.
 """
 
 import pytest
 
-from repro.streaming.engine import (
-    LAZY_AUTO_MIN,
-    Engine,
-    select_engine,
-    select_peer_state,
-    simulate,
-)
+from repro.streaming.engine import LAZY_AUTO_MIN, select_peer_state, simulate
 from repro.streaming.profiles import PROFILES, get_profile
-from repro.streaming.soa import SoAEngine
+from repro.trace.store import trace_digest
 
-#: (core, peer state) each registered profile runs with at its own size.
+#: Peer state each registered profile runs with at its own size.
 EXPECTED = {
-    "pplive": ("object", "eager"),
-    "sopcast": ("object", "eager"),
-    "tvants": ("object", "eager"),
-    "pplive-popular": ("object", "eager"),
-    "napa-wine": ("object", "eager"),
-    "random": ("object", "eager"),
-    "napa-scale": ("soa", "eager"),
-    "mega-scale": ("soa", "lazy"),
+    "pplive": "eager",
+    "sopcast": "eager",
+    "tvants": "eager",
+    "pplive-popular": "eager",
+    "napa-wine": "eager",
+    "random": "eager",
+    "napa-scale": "eager",
+    "mega-scale": "lazy",
 }
 
 
@@ -39,12 +32,9 @@ def test_table_covers_every_registered_profile():
 
 @pytest.mark.parametrize("name", sorted(EXPECTED))
 def test_registered_profile_selection(name, testbed):
-    profile = get_profile(name)
-    core = select_engine(profile)
-    n_peers = profile.swarm_size + len(testbed.hosts)
-    assert (core is SoAEngine) == profile.tick_cohort
+    n_peers = get_profile(name).swarm_size + len(testbed.hosts)
     assert select_peer_state(n_peers) == ("lazy" if n_peers >= LAZY_AUTO_MIN else "eager")
-    assert (core.mode, select_peer_state(n_peers)) == EXPECTED[name]
+    assert select_peer_state(n_peers) == EXPECTED[name]
 
 
 def test_peer_state_threshold_is_inclusive():
@@ -53,21 +43,25 @@ def test_peer_state_threshold_is_inclusive():
 
 
 def test_environment_does_not_pick_the_core(monkeypatch):
+    """``REPRO_ENGINE`` (removed with the object core) changes nothing."""
+    profile = get_profile("tvants").scaled(0.35)
+
+    def digest():
+        result = simulate(profile, duration_s=5.0, seed=7)
+        return trace_digest(result.transfers, result.signaling)
+
+    plain = digest()
     monkeypatch.setenv("REPRO_ENGINE", "object")
-    assert select_engine(get_profile("napa-scale")) is SoAEngine
-    monkeypatch.setenv("REPRO_ENGINE", "soa")
-    assert select_engine(get_profile("tvants")) is Engine
+    assert digest() == plain
 
 
 @pytest.mark.parametrize(
-    "profile,mode",
-    [
-        (get_profile("napa-scale").scaled_swarm(1200), "soa"),
-        (get_profile("tvants").scaled(0.5), "object"),
-    ],
+    "profile",
+    [get_profile("napa-scale").scaled_swarm(1200), get_profile("tvants").scaled(0.5)],
     ids=["napa-scale", "tvants"],
 )
-def test_run_records_the_core_it_used(profile, mode):
+def test_run_records_the_core_it_used(profile):
+    """A run records the peer state it used; there is no core to record."""
     result = simulate(profile, duration_s=15.0, seed=7)
-    assert result.extras["engine_mode"] == mode
+    assert "engine_mode" not in result.extras
     assert result.extras["engine_stats"]["peer_state"] == "eager"

@@ -8,83 +8,73 @@ Two independence claims make the napa-scale profile trustworthy:
   contract at a size where the object directory is still affordable.
 * **Engine independence** — under the full napa-scale feature set
   (sparse columns, cross-swarm audience, alias-sampled discovery, cohort
-  ticking, the 1 Mbps HD channel) the object and SoA cores must stay
-  byte-identical, mid-scale, for every digest the goldens pin.
+  ticking, the 1 Mbps HD channel) the engine must stay byte-identical,
+  mid-scale, to the deleted object engine core, whose output for every
+  case here is frozen in ``tests/golden/object_core_hashes.json``.
 
 Both are checked through full digests: transfer rows, signaling rows,
-host rows, total events processed and the per-kind dispatch counters.
-napa-scale runs on the SoA core and, below 10^6 peers, with eager peer
-state by itself; the other side of each pair is forced through the test
-seam (:mod:`tests.seams`).
+host rows, total events processed and the per-kind dispatch and
+schedule counters.  napa-scale runs with eager peer state below 10^6
+peers by itself; the other side of each lazy/eager pair is forced
+through the test seam (:mod:`tests.seams`).
 """
 
-from dataclasses import replace
+import functools
+import json
 
 import pytest
 
+from repro.config import RngBundle
 from repro.errors import ConfigurationError
 from repro.population.demographics import crossswarm_audience
 from repro.population.sparse import SparseSwarmConfig, generate_sparse_swarm
-from repro.streaming.engine import EngineConfig, select_peer_state
+from repro.streaming.engine import select_peer_state
 from repro.streaming.profiles import get_profile
-from repro.streaming.soa import ENGINES
-from repro.topology.testbed import build_napa_wine_testbed
-from repro.config import RngBundle
 from repro.topology.world import World
-from repro.trace.store import trace_digest
 
-from tests.seams import forced, simulate_forced
+from tests.golden.regen_engine import (
+    OBJECT_CORE_HASHES_PATH,
+    SCALE_CASES,
+    full_digest,
+    scale_case_result,
+)
+from tests.seams import simulate_forced
 
 
-def _digest(res):
-    return {
-        "transfers": trace_digest(res.transfers),
-        "signaling": trace_digest(res.signaling),
-        "hosts": trace_digest(res.hosts.rows),
-        "events": res.events_processed,
-        "dispatch": res.extras["engine_stats"]["dispatch_by_kind"],
-    }
+@pytest.fixture(scope="module")
+def object_core():
+    """The object core's frozen digests, by case key."""
+    return json.loads(OBJECT_CORE_HASHES_PATH.read_text())["hashes"]
 
 
 def _napa(size):
     return get_profile("napa-scale").scaled_swarm(size)
 
 
-def _run_with_population(
-    profile, representation, *, engine, seed, duration_s, peer_state=None
-):
-    """Simulate with the population passed as columns or as objects.
+@functools.lru_cache(maxsize=None)
+def _case(key):
+    """Full digest of the :data:`SCALE_CASES` run ``key`` (run once)."""
+    return full_digest(scale_case_result(SCALE_CASES[key]))
 
-    Rebuilds :func:`simulate`'s plumbing with the population step made
-    explicit, so the two representations of one drawn swarm can be fed to
-    otherwise-identical engines.  Worlds are rebuilt per run — IP
-    assignment advances per-AS cursors, so sharing one would entangle the
-    populations.
-    """
-    world = World()
-    testbed = build_napa_wine_testbed(world)
-    demo = crossswarm_audience(probe_as_fraction=profile.probe_as_fraction)
-    swarm = generate_sparse_swarm(
-        world,
-        SparseSwarmConfig(size=profile.swarm_size, demographics=demo),
-        RngBundle(seed)["population"],
-    )
-    population = swarm if representation == "sparse" else swarm.peers()
-    config = EngineConfig(duration_s=duration_s, seed=seed)
-    with forced(peer_state=peer_state):
-        return ENGINES[engine](world, testbed, profile, population, config).run()
+
+def _without_lazy(digest):
+    return {k: v for k, v in digest.items() if k != "lazy"}
+
+
+def test_fixture_describes_these_cases():
+    frozen = json.loads(OBJECT_CORE_HASHES_PATH.read_text())
+    assert frozen["scale_cases"] == SCALE_CASES
+    assert set(SCALE_CASES) <= set(frozen["hashes"])
 
 
 class TestRepresentationIndependence:
     """SparseSwarm columns ≡ its RemotePeer view, byte for byte."""
 
-    @pytest.mark.parametrize("engine", ["object", "soa"])
-    def test_sparse_equals_dense_small_n(self, engine):
-        profile = _napa(800)
-        kw = dict(engine=engine, seed=7, duration_s=60.0)
-        sparse = _digest(_run_with_population(profile, "sparse", **kw))
-        dense = _digest(_run_with_population(profile, "dense", **kw))
-        assert sparse == dense
+    def test_sparse_equals_dense_small_n(self):
+        case = dict(profile="napa-scale", size=800, seed=7, duration_s=60.0)
+        sparse = scale_case_result(dict(case, representation="sparse"))
+        dense = scale_case_result(dict(case, representation="dense"))
+        assert full_digest(sparse) == full_digest(dense)
 
     def test_representations_share_population_identity(self):
         """Both views come from one draw — same IPs, same link plans."""
@@ -102,32 +92,24 @@ class TestRepresentationIndependence:
 
 
 class TestEngineIndependenceAtScale:
-    """Object ≡ SoA under the full napa-scale feature set, mid-scale."""
+    """The engine ≡ the frozen object core under the napa-scale feature set."""
 
-    def test_napa_scale_mid_swarm_byte_identity(self):
-        profile = _napa(2500)
-        a = _digest(simulate_forced(profile, seed=7, duration_s=90.0, engine="object"))
-        b = _digest(simulate_forced(profile, seed=7, duration_s=90.0, engine="soa"))
-        assert a == b
+    def test_napa_scale_mid_swarm_byte_identity(self, object_core):
+        assert _case("napa-mid-swarm") == object_core["napa-mid-swarm"]
 
-    def test_napa_scale_alias_discovery_survives_reseed(self):
-        profile = _napa(1200)
-        for seed in (3, 19):
-            a = _digest(simulate_forced(profile, seed=seed, duration_s=45.0, engine="object"))
-            b = _digest(simulate_forced(profile, seed=seed, duration_s=45.0, engine="soa"))
-            assert a == b, seed
+    def test_napa_scale_alias_discovery_survives_reseed(self, object_core):
+        for key in ("napa-alias-seed3", "napa-alias-seed19"):
+            assert _case(key) == object_core[key], key
 
     @pytest.mark.parametrize("cohort", [True, False])
-    def test_engines_agree_under_either_tick_schedule(self, cohort):
+    def test_engines_agree_under_either_tick_schedule(self, cohort, object_core):
         """Cohort ticking changes *when* probes tick (one shared clock vs
-        staggered offsets) — a profile-level behaviour both cores must
-        reproduce identically.  The SoA core's multi-probe batching only
+        staggered offsets) — a profile-level behaviour the engine must
+        reproduce under both drivers.  The multi-probe batching only
         exists under the cohort schedule, so the ``False`` leg pins the
-        fallback path too."""
-        profile = replace(_napa(1200), tick_cohort=cohort)
-        a = _digest(simulate_forced(profile, seed=7, duration_s=45.0, engine="object"))
-        b = _digest(simulate_forced(profile, seed=7, duration_s=45.0, engine="soa"))
-        assert a == b
+        per-probe tick path at scale too."""
+        key = "napa-cohort-ticks" if cohort else "napa-staggered-ticks"
+        assert _case(key) == object_core[key]
 
 
 class TestLazyPeerState:
@@ -136,60 +118,59 @@ class TestLazyPeerState:
     The mega-scale kernels (on-demand score rows, first-contact busy and
     latency state, blockwise availability) must compute the very same
     IEEE doubles the eager path precomputes up front — checked at test
-    scale across both engine cores and both population representations,
-    including the mega-scale profile's own configuration resized down.
+    scale against a live eager run and against the object core's frozen
+    runs (``reference``), including the mega-scale profile's own
+    configuration resized down.
     """
 
-    @pytest.mark.parametrize("engine", ["object", "soa"])
-    def test_lazy_equals_eager_both_engines(self, engine):
-        base = _napa(1200)
-        kw = dict(seed=7, duration_s=45.0, engine=engine)
-        a = _digest(simulate_forced(base, peer_state="eager", **kw))
-        b = _digest(simulate_forced(base, peer_state="lazy", **kw))
-        assert a == b
+    @staticmethod
+    def _check_lazy_pair(prefix, reference, object_core):
+        lazy = _case(f"{prefix}-lazy")
+        if reference == "object":
+            assert lazy == object_core[f"{prefix}-lazy"]
+            eager = object_core[f"{prefix}-eager"]
+        else:
+            eager = _case(f"{prefix}-eager")
+        assert _without_lazy(lazy) == eager
 
-    @pytest.mark.parametrize("engine", ["object", "soa"])
-    def test_mega_scale_config_matches_eager_at_test_scale(self, engine):
-        mega = get_profile("mega-scale")
-        assert select_peer_state(mega.swarm_size) == "lazy"
-        small = mega.scaled_swarm(2500)
-        kw = dict(seed=7, duration_s=60.0, engine=engine)
-        a = _digest(simulate_forced(small, peer_state="lazy", **kw))
-        b = _digest(simulate_forced(small, peer_state="eager", **kw))
-        assert a == b
+    @pytest.mark.parametrize("reference", ["object", "soa"])
+    def test_lazy_equals_eager_both_engines(self, reference, object_core):
+        self._check_lazy_pair("napa", reference, object_core)
 
-    @pytest.mark.parametrize("engine", ["object", "soa"])
-    def test_lazy_sparse_equals_dense(self, engine):
-        profile = _napa(800)
-        kw = dict(engine=engine, seed=7, duration_s=60.0, peer_state="lazy")
-        sparse = _digest(_run_with_population(profile, "sparse", **kw))
-        dense = _digest(_run_with_population(profile, "dense", **kw))
-        assert sparse == dense
+    @pytest.mark.parametrize("reference", ["object", "soa"])
+    def test_mega_scale_config_matches_eager_at_test_scale(self, reference, object_core):
+        assert select_peer_state(get_profile("mega-scale").swarm_size) == "lazy"
+        self._check_lazy_pair("mega", reference, object_core)
 
-    @pytest.mark.parametrize("engine", ["object", "soa"])
-    def test_lazy_stats_report_touched_subsets(self, engine):
+    @pytest.mark.parametrize("reference", ["object", "soa"])
+    def test_lazy_sparse_equals_dense(self, reference, object_core):
+        sparse = _case("napa-lazy-sparse")
+        if reference == "object":
+            assert sparse == object_core["napa-lazy-sparse"]
+            assert sparse == object_core["napa-lazy-dense"]
+        else:
+            assert sparse == _case("napa-lazy-dense")
+
+    @pytest.mark.parametrize("reference", ["object", "soa"])
+    def test_lazy_stats_report_touched_subsets(self, reference, object_core):
         """The lazy counters expose the point of the whole layer: the
-        resident per-remote state covers a strict subset of the swarm.
-        They count protocol-level contacts, so both cores must agree."""
-        profile = _napa(1200)
-        res = simulate_forced(
-            profile, engine=engine, peer_state="lazy", seed=7, duration_s=45.0
-        )
-        stats = res.extras["engine_stats"]
-        assert stats["peer_state"] == "lazy"
-        lazy = stats["lazy"]
-        n = profile.swarm_size
+        resident per-remote state covers a strict subset of the swarm —
+        in this run and in the object core's frozen one."""
+        if reference == "object":
+            lazy = object_core["napa-lazy"]["lazy"]
+        else:
+            res = simulate_forced(_napa(1200), peer_state="lazy", seed=7, duration_s=45.0)
+            assert res.extras["engine_stats"]["peer_state"] == "lazy"
+            lazy = res.extras["engine_stats"]["lazy"]
+        n = _napa(1200).swarm_size
         assert 0 < lazy["max_touched_busy"] < n
         assert 0 < lazy["max_touched_lat"] < n
         assert lazy["score_row_misses"] >= lazy["score_rows_cached"] > 0
 
-    def test_lazy_counters_engine_agnostic(self):
-        kw = dict(peer_state="lazy", seed=7, duration_s=45.0)
-        a = simulate_forced(_napa(1200), engine="object", **kw)
-        b = simulate_forced(_napa(1200), engine="soa", **kw)
-        assert (
-            a.extras["engine_stats"]["lazy"] == b.extras["engine_stats"]["lazy"]
-        )
+    def test_lazy_counters_engine_agnostic(self, object_core):
+        """The lazy counters count protocol-level contacts, so they match
+        the object core's."""
+        assert _case("napa-lazy")["lazy"] == object_core["napa-lazy"]["lazy"]
 
 
 class TestScaleValidation:
@@ -203,3 +184,4 @@ class TestScaleValidation:
     def test_scaled_swarm_rejects_discovery_overflow(self):
         with pytest.raises(ConfigurationError, match="discovery reach"):
             _napa(100)
+

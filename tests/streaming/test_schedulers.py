@@ -6,10 +6,9 @@ the invariants are checked against the actual protocol execution — not a
 re-derivation:
 
 * **all policies** — a request is only ever issued for a chunk the probe
-  is missing (request set ⊆ hole set) and never for a chunk already in
-  flight (no duplicate in-flight requests);
-* **rarest**      — every requested chunk was advertised by the chosen
-  provider's buffer map at request time;
+  is missing (request set ⊆ hole set), never for a chunk already in
+  flight (no duplicate in-flight requests), and only to a provider whose
+  buffer map advertised the chunk at request time;
 * **edf**         — within one tick a probe's requests are monotone in
   playout deadline, and no request is issued past its deadline;
 * **push**        — a chunk is only pushed to a probe that neither holds
@@ -17,7 +16,11 @@ re-derivation:
 
 The instrumented subclasses add observation only — every decision is
 delegated to the real policy code — so the runs also double as living
-documentation of the scheduler extension points.
+documentation of the scheduler extension points.  The checks read the
+engine's state through a test-local scalar oracle — the probes' shared
+bitmaps (:meth:`SoAState.has`) and the remote availability model
+(:meth:`RemoteAvailability.has_chunk`) — not through the schedulers' own
+availability kernels.
 """
 
 from dataclasses import replace
@@ -44,6 +47,13 @@ def small_profile(scheduler: str):
 
 
 # ------------------------------------------------------- instrumentation
+def advertises(eng, provider: int, chunk: int, t: float) -> bool:
+    """Whether ``provider``'s buffer map shows ``chunk`` at ``t`` (scalar oracle)."""
+    if provider >= eng.n_remote:
+        return eng._soa.has(provider - eng.n_remote, chunk)
+    return eng.availability.has_chunk(provider, chunk, t)
+
+
 class _RecordingMixin:
     """Record every request the wrapped policy issues, as it issues it.
 
@@ -71,8 +81,9 @@ class _RecordingMixin:
     def check_request(self, probe, provider: int, chunk: int, t: float) -> None:
         """Per-policy extension point, called before each request."""
 
-    def _recorded_call(self, call, probe, t, lookahead, partners, slots):
+    def schedule_requests(self, probe, t, lookahead, partners, slots):
         eng = self._engine
+        soa = eng._soa
         orig = eng._request_chunk
         holes = list(lookahead)
         hole_set = set(holes)
@@ -81,34 +92,22 @@ class _RecordingMixin:
         def spy(p, provider, chunk, tt):
             assert p is probe
             assert chunk in hole_set, "requested a chunk that is not missing"
-            assert chunk not in p.inflight, "duplicate in-flight request"
-            assert chunk not in p.chunks, "requested a chunk already held"
+            assert not soa.inflight_has(p.pi, chunk), "duplicate in-flight request"
+            assert not soa.has(p.pi, chunk), "requested a chunk already held"
+            assert advertises(eng, provider, chunk, tt), (
+                f"requested chunk {chunk} from {provider}, which did not advertise it"
+            )
             self.check_request(p, provider, chunk, tt)
             issued.append((provider, chunk))
             return orig(p, provider, chunk, tt)
 
         eng._request_chunk = spy
         try:
-            call(probe, t, holes, partners, slots)
+            super().schedule_requests(probe, t, holes, partners, slots)
         finally:
             del eng.__dict__["_request_chunk"]
         if issued:
-            self.ticks.append(
-                (t, probe.gidx, holes, probe.buffer.window_chunks, issued)
-            )
-
-    def schedule_requests(self, probe, t, lookahead, partners, slots):
-        self._recorded_call(
-            super().schedule_requests, probe, t, lookahead, partners, slots
-        )
-
-    def schedule_requests_soa(self, probe, t, lookahead, partners, slots):
-        # The SoA engine routes ticks here; the spy and the inline
-        # invariants run identically (the views answer the membership
-        # asserts), so the recorded trace is representation-independent.
-        self._recorded_call(
-            super().schedule_requests_soa, probe, t, lookahead, partners, slots
-        )
+            self.ticks.append((t, probe.gidx, holes, soa.window_chunks, issued))
 
 
 class RecordingMesh(_RecordingMixin, MeshPullScheduler):
@@ -116,40 +115,13 @@ class RecordingMesh(_RecordingMixin, MeshPullScheduler):
 
 
 class RecordingRarest(_RecordingMixin, RarestFirstScheduler):
-    def __init__(self):
-        super().__init__()
-        self._current_ads = {}
-
-    def _snapshot_ads(self, probe, t, lookahead, partners):
-        # The ground-truth buffer map this tick's decisions will see;
-        # _advertised is a pure read (no RNG), so recomputing it here
-        # cannot perturb the run.  Works under both engine cores — the
-        # object-path partner context reads SoA probes through the views.
-        eng = self._engine
-        ctx = eng._partner_context(probe.gidx - eng.n_remote, partners)
-        self._current_ads = {
-            c: set(self._advertised(probe, t, c, ctx)) for c in lookahead
-        }
-
-    def schedule_requests(self, probe, t, lookahead, partners, slots):
-        self._snapshot_ads(probe, t, lookahead, partners)
-        super().schedule_requests(probe, t, lookahead, partners, slots)
-
-    def schedule_requests_soa(self, probe, t, lookahead, partners, slots):
-        self._snapshot_ads(probe, t, lookahead, partners)
-        super().schedule_requests_soa(probe, t, lookahead, partners, slots)
-
-    def check_request(self, probe, provider, chunk, t):
-        assert provider in self._current_ads.get(chunk, ()), (
-            f"rarest requested chunk {chunk} from {provider}, "
-            "which did not advertise it"
-        )
+    pass
 
 
 class RecordingEdf(_RecordingMixin, EdfScheduler):
     def check_request(self, probe, provider, chunk, t):
         interval = self._engine._av_chunk_interval
-        deadline = playout_deadline(chunk, interval, probe.buffer.window_chunks)
+        deadline = playout_deadline(chunk, interval, self._engine._soa.window_chunks)
         assert deadline > t, (
             f"edf requested chunk {chunk} after its playout deadline "
             f"({deadline:.3f} <= {t:.3f})"
@@ -162,15 +134,16 @@ class RecordingPush(_RecordingMixin, PushEpidemicScheduler):
         self.push_count = 0
 
     def on_chunk_received(self, probe, chunk, provider, t):
-        eng = self._engine
+        soa = self._engine._soa
         before = [
-            (st, chunk in st.inflight, chunk in st.chunks) for st in eng._probes
+            (st, soa.inflight_has(st.pi, chunk), soa.has(st.pi, chunk))
+            for st in self._engine._probes
         ]
         super().on_chunk_received(probe, chunk, provider, t)
         for st, was_inflight, was_held in before:
             if st is probe or was_inflight:
                 continue
-            if chunk in st.inflight:  # newly pushed to this target
+            if soa.inflight_has(st.pi, chunk):  # newly pushed to this target
                 assert not was_held, "pushed a chunk the target already held"
                 self.push_count += 1
 

@@ -1,25 +1,23 @@
-"""SoA-vs-object differential suite: the two engine cores are one engine.
+"""The single engine core against the frozen object core.
 
-The struct-of-arrays core (:mod:`repro.streaming.soa`) re-implements the
-per-probe hot paths against shared numpy arrays; its contract is *byte
-identity* — for any fixed seed both cores must emit the same transfer
-and signaling bytes, process the same number of events, and dispatch the
-same per-kind event counts.  Three layers pin that here:
+The simulator used to ship two engine cores: an object core (a
+per-probe buffer set and in-flight set) and the struct-of-arrays core
+that is now the only one.  Their contract was *byte identity* — for any
+fixed seed both emitted the same transfer and signaling bytes, processed
+the same number of events and dispatched the same per-kind event counts.
+The object core's output for every case this suite compared is frozen in
+``tests/golden/object_core_hashes.json`` (written by the object core
+itself before it was deleted), so the contract still holds here:
 
 * the golden fixtures (produced by the pre-SoA object engine) are
-  replayed under the SoA core — all three app profiles and all four
-  chunk schedulers;
+  replayed — all three app profiles and all four chunk schedulers;
 * a randomized sweep (seeded parameter draws: app × scheduler × engine
-  seed × duration × scale) runs both cores and compares full digests
-  plus the dispatch counters;
-* the engine registry itself (both cores registered, result extras
-  tagged with the mode that actually ran).
-
-The paper profiles run on the object core by themselves; the SoA side
-is forced through the test seam (:mod:`tests.seams`).
+  seed × duration × scale) compares full digests plus the dispatch
+  counters against the frozen object-core output;
+* the engine registry names the one core.
 
 See ``docs/engine-internals.md`` for the determinism rules that make
-byte identity possible, and for how to extend this suite.
+byte identity possible.
 """
 
 import json
@@ -27,7 +25,7 @@ from dataclasses import replace
 
 import pytest
 
-from repro.streaming.engine import EngineConfig
+from repro.streaming.engine import Engine, EngineConfig, simulate
 from repro.streaming.profiles import get_profile
 from repro.streaming.schedulers import SCHEDULER_NAMES
 from repro.streaming.soa import ENGINES
@@ -37,30 +35,20 @@ from tests.golden.regen_engine import (
     ENGINE_GOLDEN_APPS,
     ENGINE_GOLDEN_KWARGS,
     HASHES_PATH,
+    OBJECT_CORE_HASHES_PATH,
     RANDOM_CASE_COUNT,
     SCHEDULER_GOLDEN_APP,
     SCHEDULER_GOLDEN_KWARGS,
     SCHEDULER_GOLDEN_SCALE,
     SCHEDULER_HASHES_PATH,
+    full_digest,
+    random_case_key,
+    random_case_result,
     random_cases,
 )
-from tests.seams import simulate_forced
 
 
-def _digests(result) -> dict:
-    """Everything the byte-identity contract covers, as one dict."""
-    stats = result.extras["engine_stats"]
-    return {
-        "transfers": trace_digest(result.transfers),
-        "signaling": trace_digest(result.signaling),
-        "hosts": trace_digest(result.hosts.rows),
-        "events": result.events_processed,
-        "dispatch_by_kind": stats["dispatch_by_kind"],
-        "schedule_by_kind": stats["schedule_by_kind"],
-    }
-
-
-# ----------------------------------------------------- golden fixtures, SoA
+# ----------------------------------------------------------- golden fixtures
 @pytest.fixture(scope="module")
 def golden():
     return json.loads(HASHES_PATH.read_text())
@@ -71,13 +59,16 @@ def scheduler_golden():
     return json.loads(SCHEDULER_HASHES_PATH.read_text())
 
 
+@pytest.fixture(scope="module")
+def object_core():
+    return json.loads(OBJECT_CORE_HASHES_PATH.read_text())["hashes"]
+
+
 @pytest.mark.parametrize("app", ENGINE_GOLDEN_APPS)
 def test_soa_matches_engine_golden_hashes(app, golden):
-    """The SoA core reproduces the pre-SoA object engine's bytes per app."""
-    result = simulate_forced(
-        get_profile(app),
-        engine="soa",
-        engine_config=EngineConfig(**ENGINE_GOLDEN_KWARGS),
+    """The engine reproduces the pre-SoA object engine's bytes per app."""
+    result = simulate(
+        get_profile(app), engine_config=EngineConfig(**ENGINE_GOLDEN_KWARGS)
     )
     expected = golden["hashes"][app]
     actual = {
@@ -87,24 +78,19 @@ def test_soa_matches_engine_golden_hashes(app, golden):
         "events": result.events_processed,
     }
     assert actual == expected, (
-        f"{app}: the SoA core drifted from the object engine's golden "
-        "hashes — an array kernel perturbed an RNG draw or record order"
+        f"{app}: the engine drifted from the object engine's golden "
+        "hashes — a kernel perturbed an RNG draw or record order"
     )
-    assert result.extras["engine_mode"] == "soa"
 
 
 @pytest.mark.parametrize("scheduler", sorted(SCHEDULER_NAMES))
 def test_soa_matches_scheduler_golden_hashes(scheduler, scheduler_golden):
-    """Every chunk-scheduling policy is byte-identical under the SoA core."""
+    """Every chunk-scheduling policy reproduces its golden bytes."""
     profile = replace(
         get_profile(SCHEDULER_GOLDEN_APP).scaled(SCHEDULER_GOLDEN_SCALE),
         scheduler=scheduler,
     )
-    result = simulate_forced(
-        profile,
-        engine="soa",
-        engine_config=EngineConfig(**SCHEDULER_GOLDEN_KWARGS),
-    )
+    result = simulate(profile, engine_config=EngineConfig(**SCHEDULER_GOLDEN_KWARGS))
     expected = scheduler_golden["hashes"][scheduler]
     actual = {
         "transfers": trace_digest(result.transfers),
@@ -113,33 +99,34 @@ def test_soa_matches_scheduler_golden_hashes(scheduler, scheduler_golden):
         "events": result.events_processed,
     }
     assert actual == expected, (
-        f"{scheduler}: the SoA scheduler kernel drifted from the object "
-        "policy's golden hashes"
+        f"{scheduler}: the scheduler drifted from the object policy's "
+        "golden hashes"
     )
 
 
 # ------------------------------------------------------- randomized sweep
+def test_object_core_fixture_covers_every_random_case(object_core):
+    keys = {random_case_key(case) for case in random_cases(RANDOM_CASE_COUNT)}
+    assert keys <= set(object_core)
+
+
 @pytest.mark.parametrize(
     "app,scheduler,seed,duration_s,scale",
     random_cases(RANDOM_CASE_COUNT),
     ids=lambda v: str(v),
 )
-def test_randomized_soa_object_differential(app, scheduler, seed, duration_s, scale):
-    """Both cores, same seed → same bytes, same events, same dispatches."""
-    profile = replace(get_profile(app).scaled(scale), scheduler=scheduler)
-    config = EngineConfig(duration_s=duration_s, seed=seed)
-    obj = simulate_forced(profile, engine="object", engine_config=config)
-    soa = simulate_forced(profile, engine="soa", engine_config=config)
-    assert _digests(soa) == _digests(obj), (
-        f"{app}/{scheduler} seed={seed}: the SoA core diverged from the "
-        "object engine"
+def test_randomized_soa_object_differential(
+    app, scheduler, seed, duration_s, scale, object_core
+):
+    """Same seed → the object core's bytes, events and dispatches."""
+    case = (app, scheduler, seed, duration_s, scale)
+    assert full_digest(random_case_result(case)) == object_core[random_case_key(case)], (
+        f"{app}/{scheduler} seed={seed}: the engine diverged from the "
+        "frozen object core"
     )
-    assert obj.extras["engine_mode"] == "object"
-    assert soa.extras["engine_mode"] == "soa"
 
 
 # -------------------------------------------------------- engine registry
 class TestEngineRegistry:
     def test_registry_names(self):
-        assert sorted(ENGINES) == ["object", "soa"]
-        assert all(ENGINES[name].mode == name for name in ENGINES)
+        assert ENGINES == {"soa": Engine}

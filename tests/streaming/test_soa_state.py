@@ -12,7 +12,7 @@ machine underneath it in isolation.
 import pytest
 
 from repro.errors import SimulationError
-from repro.streaming.soa import _GUARD, SoAState, _ChunkSetView, _InflightView
+from repro.streaming.buffer import _GUARD, SoAState
 
 
 @pytest.fixture
@@ -44,8 +44,7 @@ class TestSlotMapping:
     def test_idempotent_add(self, soa):
         soa.have_add(0, 9)
         soa.have_add(0, 9)
-        view = _ChunkSetView(soa, 0)
-        assert len(view) == 1 and list(view) == [9]
+        assert soa.have[0].nonzero()[0].tolist() == [9]
 
     def test_inflight_counts(self, soa):
         soa.inflight_add(0, 3)
@@ -85,10 +84,15 @@ class TestTickScan:
         floor, holes = soa.tick_scan(0, t=10.0, live_lag=0, limit=3)
         assert holes == [10, 9, 8]
 
-    def test_scan_stash_identity(self, soa):
-        _, holes = soa.tick_scan(0, t=10.0, live_lag=0, limit=None)
-        assert holes is soa.scan_list
-        assert soa.scan_arr.tolist() == holes
+    def test_cohort_scan_matches_per_probe_scans(self, soa):
+        soa.have_add(0, 5)
+        soa.inflight_add(1, 7)
+        soa.have_add(2, 10)
+        floor, newest, rows = soa.tick_scan_all(t=10.0, live_lag=1, limit=4)
+        assert (floor, newest) == (3, 9)
+        assert rows == [
+            soa.tick_scan(pi, t=10.0, live_lag=1, limit=4)[1] for pi in range(3)
+        ]
 
     def test_eviction_wipes_below_floor(self, soa):
         soa.have_add(0, 2)
@@ -145,20 +149,3 @@ class TestMakeRoom:
         assert not soa.have[:, soa.capacity :].any()
         assert not soa.inflight[:, soa.capacity :].any()
 
-
-class TestViews:
-    def test_chunk_set_view_iterates_low_then_row(self, soa):
-        soa.base[0] = 10
-        soa.base_arr[0] = 10
-        soa.have_add(0, 4)  # low
-        soa.have_add(0, 12)
-        soa.have_add(0, 11)
-        view = _ChunkSetView(soa, 0)
-        assert list(view) == [4, 11, 12]
-        assert len(view) == 3 and bool(view)
-        assert 12 in view and 13 not in view
-
-    def test_inflight_view_membership(self, soa):
-        soa.inflight_add(0, 6)
-        view = _InflightView(soa, 0)
-        assert 6 in view and 7 not in view
