@@ -48,10 +48,8 @@ def _holes(seg: bytes, lo: int, hi: int, offset: int, limit: int | None) -> list
     """
     out: list[int] = []
     i = seg.rfind(0, lo, hi)
-    while i >= 0:
+    while i >= 0 and (limit is None or len(out) < limit):
         out.append(offset + i)
-        if len(out) == limit:
-            break
         i = seg.rfind(0, lo, i)
     return out
 

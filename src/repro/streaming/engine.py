@@ -1261,7 +1261,7 @@ class Engine:
         # remotes); ``plan_cols`` is its matrix column.
         plan: list[tuple[int, int, int]] = []
         plan_cols = []
-        r = 0
+        r = p = 0
         for g in cols:
             if g < nr:
                 plan.append((g, r, -1))
@@ -1269,7 +1269,8 @@ class Engine:
                 r += 1
             else:
                 plan.append((g, -1, g - nr))
-                plan_cols.append(n_rem + len(plan_cols) - r)
+                plan_cols.append(n_rem + p)
+                p += 1
         # Provider scores over the plan.  Eager: a gather from the
         # precomputed swarm-wide row.  Lazy: scored on demand over just
         # these columns — SelectionPolicy.scores is elementwise per
@@ -1282,9 +1283,10 @@ class Engine:
         else:
             scores = self._provider_scores[pi][partners]
         raw = scores.tobytes()
+        probe_plan = [(g, row) for g, _k, row in plan if row >= 0]
         ctx = {
             "plan": plan,
-            "probe_plan": [(g, row) for g, _k, row in plan if row >= 0],
+            "probe_plan": probe_plan,
             "plan_cols": np.array(plan_cols, dtype=np.int64),
             "plan_g": partners,
             "n_rem": n_rem,
@@ -1298,9 +1300,7 @@ class Engine:
             # memo key, the same bytes the array paths slice out.
             "score_key": {g: raw[8 * j : 8 * j + 8] for j, g in enumerate(cols)},
             # Probe-partner bitmap rows, in plan order, for the gather.
-            "probe_rows_arr": np.array(
-                [g - nr for g in cols if g >= nr], dtype=np.int64
-            ),
+            "probe_rows_arr": np.array([row for _g, row in probe_plan], dtype=np.int64),
             # Smallest delay among the ready remote partners, valid until
             # the next partner's ready time (see _advertisers_scalar).
             "dmin": np.inf,

@@ -83,6 +83,7 @@ class TestTickScan:
     def test_limit_keeps_the_newest(self, soa):
         floor, holes = soa.tick_scan(0, t=10.0, live_lag=0, limit=3)
         assert holes == [10, 9, 8]
+        assert soa.tick_scan(0, t=10.0, live_lag=0, limit=0)[1] == []
 
     def test_cohort_scan_matches_per_probe_scans(self, soa):
         soa.have_add(0, 5)
