@@ -10,31 +10,17 @@ it:
   tabulate.
 * ``test_engine_scale_throughput`` — the full 1.8×10^5-peer swarm;
   ``peak_rss_mb`` pins the bounded-memory claim (the sparse swarm holds
-  columns, not an object per peer).
-
-A third family rides the lazy peer-state layer:
-
-* ``test_engine_scale_lazy_throughput`` — napa-scale (1.8×10^5) with
-  lazy peer state: the paired entry against the eager
-  ``test_engine_scale_throughput`` record.  The committed
-  pair is the acceptance record that lazy materialisation costs ≤10 %
-  wall-clock at the paper's measured scale, and the CI gate holds the
-  lazy entry to that line (``--max-regression 0.10``).
+  columns, not an object per peer, and each probe one byte per peer).
 * ``test_engine_mega_throughput`` — the mega-scale swarm at 5×10^5 and
-  10^6 peers, eager vs lazy (``REPRO_SCALE_MEGA=1`` to enable): the
-  memory crossover the performance docs tabulate.
-
-napa-scale runs with eager peer state by itself, and mega-scale with
-lazy; the other side of each pair is forced through the test seam
-(:func:`tests.seams.forced`), so every entry keeps comparing like with
-like.
+  10^6 peers (``REPRO_SCALE_MEGA=1`` to enable): the memory envelope the
+  performance docs tabulate.
 
 Wall-clock here includes world construction and population generation
 (both cheap next to the event loop at these horizons), matching the
 other engine benchmarks.
 
 ``peak_rss_mb`` reads ``ru_maxrss`` — a *process-lifetime* high-water
-mark.  Record each scale/peer-state cell in its own pytest process
+mark.  Record each scale cell in its own pytest process
 (``-k`` one bench per invocation); cells sharing a process inherit the
 largest earlier footprint and over-report.
 """
@@ -46,8 +32,6 @@ import pytest
 
 from repro.streaming.engine import EngineConfig, simulate
 from repro.streaming.profiles import get_profile
-
-from tests.seams import forced
 
 #: Short horizons keep the full-scale runs affordable.
 CROSSOVER_DURATION_S = 120.0
@@ -80,41 +64,15 @@ def test_engine_crossover_throughput(benchmark, swarm):
 
 
 def test_engine_scale_throughput(benchmark):
-    """The full paper-scale swarm (1.8×10^5 peers), eager peer state."""
+    """The full paper-scale swarm (1.8×10^5 peers)."""
     profile = get_profile("napa-scale")
     config = EngineConfig(duration_s=SCALE_DURATION_S, seed=SCALE_SEED)
 
     def run():
         return simulate(profile, engine_config=config)
 
-    with forced(peer_state="eager"):
-        result = benchmark.pedantic(run, rounds=2, iterations=1, warmup_rounds=0)
+    result = benchmark.pedantic(run, rounds=2, iterations=1, warmup_rounds=0)
     benchmark.extra_info["swarm"] = profile.swarm_size
-    benchmark.extra_info["events"] = result.events_processed
-    benchmark.extra_info["transfers"] = len(result.transfers)
-    benchmark.extra_info["simulated_s"] = SCALE_DURATION_S
-    benchmark.extra_info["peak_rss_mb"] = round(_peak_rss_mb(), 1)
-
-
-def test_engine_scale_lazy_throughput(benchmark):
-    """napa-scale with lazy peer-state materialisation.
-
-    The paired entry for ``test_engine_scale_throughput``: identical
-    run, lazy peer state — on-demand score rows, first-contact
-    busy/latency state, blockwise availability.  Byte-identical traces
-    (the differential suite pins that); this entry records what the lazy
-    indirection costs where it is *not* needed.
-    """
-    profile = get_profile("napa-scale")
-    config = EngineConfig(duration_s=SCALE_DURATION_S, seed=SCALE_SEED)
-
-    def run():
-        return simulate(profile, engine_config=config)
-
-    with forced(peer_state="lazy"):
-        result = benchmark.pedantic(run, rounds=2, iterations=1, warmup_rounds=0)
-    benchmark.extra_info["swarm"] = profile.swarm_size
-    benchmark.extra_info["peer_state"] = result.extras["engine_stats"]["peer_state"]
     benchmark.extra_info["events"] = result.events_processed
     benchmark.extra_info["transfers"] = len(result.transfers)
     benchmark.extra_info["simulated_s"] = SCALE_DURATION_S
@@ -125,16 +83,13 @@ def test_engine_scale_lazy_throughput(benchmark):
     not os.environ.get("REPRO_SCALE_MEGA"),
     reason="10^5.7-10^6-peer runs; set REPRO_SCALE_MEGA=1 to enable",
 )
-@pytest.mark.parametrize("peer_state", ["eager", "lazy"])
 @pytest.mark.parametrize("swarm", [500_000, 1_000_000])
-def test_engine_mega_throughput(benchmark, swarm, peer_state):
-    """The mega-scale swarm, eager vs lazy, across the memory crossover.
+def test_engine_mega_throughput(benchmark, swarm):
+    """The mega-scale swarm: the acceptance record for the 10^6 memory
+    envelope.
 
-    One simulated minute.  The lazy cells are the
-    acceptance record for the 10^6 memory envelope; the eager cells pin
-    what swarm-proportional state costs at the same sizes (score rows
-    alone are ~1.1 GB at 10^6).  Run each cell in its own process — see
-    the module docstring on ``ru_maxrss``.
+    One simulated minute.  Run each cell in its own process — see the
+    module docstring on ``ru_maxrss``.
     """
     profile = get_profile("mega-scale").scaled_swarm(swarm)
     config = EngineConfig(duration_s=MEGA_DURATION_S, seed=SCALE_SEED)
@@ -142,10 +97,8 @@ def test_engine_mega_throughput(benchmark, swarm, peer_state):
     def run():
         return simulate(profile, engine_config=config)
 
-    with forced(peer_state=peer_state):
-        result = benchmark.pedantic(run, rounds=1, iterations=1, warmup_rounds=0)
+    result = benchmark.pedantic(run, rounds=1, iterations=1, warmup_rounds=0)
     benchmark.extra_info["swarm"] = swarm
-    benchmark.extra_info["peer_state"] = result.extras["engine_stats"]["peer_state"]
     benchmark.extra_info["events"] = result.events_processed
     benchmark.extra_info["transfers"] = len(result.transfers)
     benchmark.extra_info["simulated_s"] = MEGA_DURATION_S

@@ -26,10 +26,7 @@ backoff, poison-shard quarantine).
 ``simulate``, ``campaign``, ``replicate`` and ``robustness`` accept
 ``--scheduler {mesh-pull,rarest,edf,push}`` to run under an alternative
 chunk-scheduling policy (see :mod:`repro.streaming.schedulers`; env
-default: ``REPRO_SCHEDULER``).  The peer-state mode is not an option:
-each run picks it from its swarm size
-(:data:`repro.streaming.engine.LAZY_AUTO_MIN`), and the trace bundle and
-run manifest record what ran.
+default: ``REPRO_SCHEDULER``).
 Global ``--log-level`` / ``--log-format`` control the structured logger
 (:mod:`repro.obs`; env: ``REPRO_LOG_LEVEL`` / ``REPRO_LOG_FORMAT``), and
 ``campaign`` writes a JSON run manifest next to its outputs

@@ -50,7 +50,7 @@ from repro.streaming.schedulers import default_scheduler, get_scheduler
 from repro.topology.testbed import Testbed
 from repro.topology.world import World
 from repro.trace.flows import FlowTable, build_flow_table  # noqa: F401
-from repro.trace.store import TraceBundle, engine_extras, load_trace_bundle, save_trace_bundle
+from repro.trace.store import TraceBundle, load_trace_bundle, save_trace_bundle
 
 #: The applications of the paper, in its reporting order.
 PAPER_APPS = ("pplive", "sopcast", "tvants")
@@ -276,7 +276,6 @@ def _load_checkpoint(
         profile=profile,
         config=EngineConfig(duration_s=cfg.duration_s, seed=int(meta.get("seed", 0))),
         events_processed=int(meta.get("events", 0)),
-        extras=engine_extras(meta),
     )
 
 
@@ -317,7 +316,6 @@ def _result_from_bundle(
             duration_s=cfg.duration_s, seed=int(bundle.meta.get("seed", 0))
         ),
         events_processed=int(bundle.meta.get("events", 0)),
-        extras=engine_extras(bundle.meta),
     )
 
 

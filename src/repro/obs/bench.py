@@ -144,13 +144,11 @@ def summarize_benchmark(bench: dict, baseline: dict | None = None) -> dict:
     if simulated_s:
         entry["simulated_s"] = float(simulated_s)
         entry["wall_s_per_simulated_minute"] = wall * 60.0 / simulated_s
-    # Scale-benchmark annotations: how large the swarm was, which peer
-    # state ran, and the process RSS high-water mark (the bounded-memory
-    # record for the paper-scale entries).
+    # Scale-benchmark annotations: how large the swarm was and the
+    # process RSS high-water mark (the bounded-memory record for the
+    # paper-scale entries).
     if "swarm" in extra:
         entry["swarm"] = int(extra["swarm"])
-    if "peer_state" in extra:
-        entry["peer_state"] = str(extra["peer_state"])
     if "peak_rss_mb" in extra:
         entry["peak_rss_mb"] = float(extra["peak_rss_mb"])
     if baseline is not None:

@@ -142,7 +142,6 @@ def manifest_from_campaign(
         run = campaign.runs.get(app)
         app_failures = [f for f in campaign.failures if f.app == app]
         tel = campaign.shard_telemetry.get(app)
-        extras = run.result.extras if run else {}
         shards.append(
             {
                 "app": app,
@@ -151,9 +150,6 @@ def manifest_from_campaign(
                 "ok": run is not None,
                 "from_checkpoint": bool(run.from_checkpoint) if run else False,
                 "engine_seed": int(run.result.config.seed) if run else None,
-                # The peer state the run actually used (the engine picks
-                # it; a resumed run reports its checkpoint's).
-                "peer_state": extras.get("engine_stats", {}).get("peer_state"),
                 "retries": sum(1 for f in app_failures if f.stage == "simulate"),
                 "failed_stages": sorted({f.stage for f in app_failures}),
                 "telemetry": tel.as_dict() if tel else {},
@@ -247,7 +243,6 @@ def render_manifest_summary(manifest: RunManifest) -> str:
                 "ok" if s.get("ok") else "FAILED",
                 "yes" if s.get("from_checkpoint") else "no",
                 str(s.get("engine_seed")),
-                s.get("peer_state") or "-",
                 str(s.get("retries", 0)),
                 str(len(sup["attempts"])) if sup.get("attempts") else "-",
                 str(sup.get("outcome") or "-"),
@@ -258,7 +253,7 @@ def render_manifest_summary(manifest: RunManifest) -> str:
         lines.append(
             render_table(
                 [
-                    "app", "status", "ckpt", "seed", "peer state",
+                    "app", "status", "ckpt", "seed",
                     "retries", "exec att", "exec", "wall s",
                 ],
                 shard_rows,

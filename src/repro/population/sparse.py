@@ -145,139 +145,6 @@ class SparseSwarmConfig:
             raise ConfigurationError("block_size must be >= 1")
 
 
-class AliasTable:
-    """Vose alias sampler over a fixed weight vector.
-
-    Construction is O(n); each draw costs one ``integers`` plus one
-    ``random`` batch regardless of n — the piece that lets tracker and
-    gossip replies sample a 10^5-peer swarm without an O(n) scan per call.
-
-    Draw order (fixed, documented for determinism): the column draw
-    ``j = integers(n, size)`` first, then the coin ``u = random(size)``.
-    """
-
-    __slots__ = ("n", "prob", "alias")
-
-    def __init__(self, weights: np.ndarray) -> None:
-        w = np.asarray(weights, dtype=np.float64)
-        if w.ndim != 1 or len(w) == 0:
-            raise ConfigurationError("alias table needs a non-empty 1-D weight vector")
-        if np.any(w < 0) or not np.isfinite(w).all():
-            raise ConfigurationError("alias weights must be finite and non-negative")
-        total = w.sum()
-        if total <= 0:
-            raise ConfigurationError("alias weights must sum to a positive value")
-        if not np.isfinite(total):
-            raise ConfigurationError("alias weights overflow float64 when summed")
-        n = len(w)
-        # Normalise before scaling: w/total is always in [0, 1], so this
-        # cannot overflow even when ``total`` is subnormal (n/total would
-        # be inf) or the weights sit near the float64 ceiling (w*n would
-        # be inf).
-        scaled = (w / total) * n
-        prob = np.ones(n, dtype=np.float64)
-        alias = np.arange(n, dtype=np.int64)
-        small = [i for i in range(n) if scaled[i] < 1.0]
-        large = [i for i in range(n) if scaled[i] >= 1.0]
-        while small and large:
-            s, l = small.pop(), large.pop()
-            prob[s] = scaled[s]
-            alias[s] = l
-            scaled[l] = (scaled[l] + scaled[s]) - 1.0
-            (small if scaled[l] < 1.0 else large).append(l)
-        self.n = n
-        self.prob = prob
-        self.alias = alias
-
-    def draw(self, rng: np.random.Generator, size: int) -> np.ndarray:
-        """Draw ``size`` indices distributed per the construction weights."""
-        j = rng.integers(0, self.n, size=size)
-        u = rng.random(size)
-        return np.where(u < self.prob[j], j, self.alias[j])
-
-
-class IndexRemap:
-    """Compact global-id → dense-slot remap for touched-peer state.
-
-    The lazy engine keeps per-remote mutable state (busy counters, latency
-    memos) only for peers a probe has actually contacted.  The remap hands
-    out dense slots in first-contact order, so backing storage grows with
-    the touched set, not the swarm.  Slots are never recycled — a touched
-    peer stays resident for the run, which is exactly the reservoir the
-    heavy-tailed contact distribution needs.
-    """
-
-    __slots__ = ("_slots",)
-
-    def __init__(self) -> None:
-        self._slots: dict[int, int] = {}
-
-    def __len__(self) -> int:
-        return len(self._slots)
-
-    def slot(self, key: int) -> int | None:
-        """The dense slot for ``key``, or ``None`` if never touched."""
-        return self._slots.get(key)
-
-    def ensure(self, key: int) -> int:
-        """The dense slot for ``key``, allocating the next one on miss."""
-        s = self._slots.get(key)
-        if s is None:
-            s = len(self._slots)
-            self._slots[key] = s
-        return s
-
-
-class ScoreRowCache:
-    """LRU of on-demand per-probe score rows under a byte budget.
-
-    Awareness scores are pure functions of static endpoint columns, so a
-    row can always be rebuilt bit-identically — eviction is memory
-    management, never an invalidation concern.  ``build`` maps a probe
-    index to its full float64 row; the cache keeps recently-used rows up
-    to ``budget_bytes`` and drops least-recently-used ones beyond it
-    (always retaining the row just built).
-    """
-
-    __slots__ = ("_build", "_budget", "_rows", "_bytes", "hits", "misses", "evictions")
-
-    def __init__(self, build, budget_bytes: int) -> None:
-        self._build = build
-        self._budget = int(budget_bytes)
-        self._rows: dict[int, np.ndarray] = {}
-        self._bytes = 0
-        self.hits = 0
-        self.misses = 0
-        self.evictions = 0
-
-    def __len__(self) -> int:
-        return len(self._rows)
-
-    @property
-    def nbytes(self) -> int:
-        return self._bytes
-
-    def row(self, key: int) -> np.ndarray:
-        row = self._rows.get(key)
-        if row is not None:
-            self.hits += 1
-            # Insertion order doubles as recency order: re-insert on hit.
-            del self._rows[key]
-            self._rows[key] = row
-            return row
-        self.misses += 1
-        row = self._build(key)
-        self._rows[key] = row
-        self._bytes += row.nbytes
-        while self._bytes > self._budget and len(self._rows) > 1:
-            oldest = next(iter(self._rows))
-            if oldest == key:
-                break
-            self._bytes -= self._rows.pop(oldest).nbytes
-            self.evictions += 1
-        return row
-
-
 class SparseSwarm:
     """A lazily-materialised remote population held as numpy columns.
 

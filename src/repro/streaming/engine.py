@@ -16,6 +16,7 @@ Everything stochastic draws from named, seeded RNG streams
 
 from __future__ import annotations
 
+from collections import Counter
 from collections.abc import Iterable
 from dataclasses import dataclass, field
 
@@ -31,19 +32,20 @@ from repro.population.demographics import (
     crossswarm_audience,
 )
 from repro.population.generator import PopulationConfig, RemotePeer, generate_population
-from repro.population.sparse import (
-    IndexRemap,
-    ScoreRowCache,
-    SparseSwarm,
-    SparseSwarmConfig,
-    generate_sparse_swarm,
-)
+from repro.population.sparse import SparseSwarm, SparseSwarmConfig, generate_sparse_swarm
 from repro.streaming.availability import RemoteAvailability
 from repro.streaming.buffer import SoAState, window_chunks
 from repro.streaming.events import EventQueue
 from repro.streaming.profiles import AppProfile
 from repro.streaming.schedulers import get_scheduler
-from repro.streaming.selection import CandidateFeatures, SelectionPolicy
+from repro.streaming.selection import (
+    CODE_AS,
+    CODE_CC,
+    CODE_NEAR,
+    CODE_NET,
+    N_CODES,
+    SelectionPolicy,
+)
 from repro.streaming.transport import (
     SignalingBook,
     TransferRecorder,
@@ -90,49 +92,10 @@ _SCALAR_PAIRS_MAX = 400
 #: the covered top (amortises the vectorised rebuild over many ticks).
 _THR_SLACK = 256
 
-#: Blockwise availability evaluation (lazy peer-state mode): threshold
-#: rows are grouped into fixed chunk-id spans of this many rows, built on
-#: first touch and reused across ticks — the thresholds are t-independent
-#: chunk constants, so a cached block is bit-for-bit the rows the per-tick
-#: rebuild would produce.
-_THR_BLOCK = 64
-
-#: Eviction budget for the block cache, in blocks.  The live window walks
-#: upward, so the lowest block id is evicted first; an evicted block that
-#: is touched again rebuilds bit-identically (memory-only bound).
-_THR_BLOCKS_MAX = 8
-
-#: Byte budget for the lazy engine's LRU of on-demand remote score rows
-#: (one float64 per peer per cached probe).  Large enough that every
-#: probe's row fits resident at 10^6 peers — the budget is the safety
-#: valve for the next decade, not a working limit at this one.
-_SCORE_ROWS_BUDGET = 512 * 1024 * 1024
-
-#: Remote-population size beyond which the O(probes × peers) Python-list
-#: mirrors (provider-score rows, latency rows) stay numpy: at paper scale
-#: the ``.tolist()`` copies cost hundreds of MB for identical values.
-#: np.float64 hashes, compares and formats equal to the plain float, so
-#: the gate is invisible to traces — it only bounds memory.
-_LIST_MIRROR_MAX = 50_000
-
 #: Oversampling rounds allowed per alias-sampled tracker reply before the
 #: reply is returned short (candidates are rejected when offline, already
 #: known, self, or duplicate within the reply).
 _ALIAS_MAX_ROUNDS = 8
-
-#: Directory size (remotes + probes) from which the engine materialises
-#: per-remote state lazily: score rows, latency rows and busy counters on
-#: first contact instead of swarm-wide at build time.  Eager costs
-#: O(swarm) bytes per probe and is faster to ~2×10^5 peers (napa-scale
-#: stays eager); at 10^6 peers only lazy fits in memory.  Either mode is
-#: byte-identical for a fixed seed — the differential suites pin it.
-LAZY_AUTO_MIN = 500_000
-
-
-def select_peer_state(n_peers: int) -> str:
-    """The peer-state mode for a directory of ``n_peers``: lazy or eager."""
-    return "lazy" if n_peers >= LAZY_AUTO_MIN else "eager"
-
 
 def _approx_latency(same_subnet: bool, same_as: bool, same_cc: bool) -> float:
     """One-way latency estimate used for protocol timing.
@@ -147,6 +110,14 @@ def _approx_latency(same_subnet: bool, same_as: bool, same_cc: bool) -> float:
     if same_cc:
         return 0.02
     return 0.08
+
+
+#: One-way latency by awareness code (:func:`_approx_latency` of its
+#: NET, AS and CC bits).
+LATENCY_BY_CODE: tuple[float, ...] = tuple(
+    _approx_latency(bool(c & CODE_NET), bool(c & CODE_AS), bool(c & CODE_CC))
+    for c in range(N_CODES)
+)
 
 
 @dataclass(frozen=True, slots=True)
@@ -199,86 +170,17 @@ class EngineConfig:
             raise ConfigurationError("rebalance interval must be positive")
 
 
-class _RemapCounts:
-    """Per-provider outstanding-request counters, touched-peers only.
-
-    Drop-in for the dense ``busy`` list: reads of never-contacted ids
-    answer 0 without allocating, writes allocate a dense slot through an
-    :class:`~repro.population.sparse.IndexRemap` on first contact.  A
-    probe contacts a few thousand peers over a run, so this replaces an
-    O(swarm) int list per probe with O(touched) state.
-    """
-
-    __slots__ = ("_remap", "_vals")
-
-    def __init__(self) -> None:
-        self._remap = IndexRemap()
-        self._vals: list[int] = []
-
-    def __len__(self) -> int:
-        return len(self._vals)
-
-    def __getitem__(self, g: int) -> int:
-        s = self._remap.slot(g)
-        return self._vals[s] if s is not None else 0
-
-    def __setitem__(self, g: int, v: int) -> None:
-        s = self._remap.ensure(g)
-        if s == len(self._vals):
-            self._vals.append(v)
-        else:
-            self._vals[s] = v
-
-
-class _RemapLatRow:
-    """One probe's latency row, materialised per touched peer.
-
-    Computes :func:`_approx_latency` from the static directory columns on
-    first read of each peer and memoises it behind an
-    :class:`~repro.population.sparse.IndexRemap` — the same doubles, in
-    the same subnet → AS → CC precedence, as the eager ``np.where`` row.
-    """
-
-    __slots__ = ("_remap", "_vals", "_subnet", "_asn", "_cc", "_my_subnet", "_my_asn", "_my_cc")
-
-    def __init__(
-        self, subnet: np.ndarray, asn: np.ndarray, cc: np.ndarray, gidx: int
-    ) -> None:
-        self._remap = IndexRemap()
-        self._vals: list[float] = []
-        self._subnet = subnet
-        self._asn = asn
-        self._cc = cc
-        self._my_subnet = int(subnet[gidx])
-        self._my_asn = int(asn[gidx])
-        self._my_cc = int(cc[gidx])
-
-    def __len__(self) -> int:
-        return len(self._vals)
-
-    def __getitem__(self, g: int) -> float:
-        s = self._remap.slot(g)
-        if s is not None:
-            return self._vals[s]
-        if self._subnet[g] == self._my_subnet:
-            v = 0.001
-        elif self._asn[g] == self._my_asn:
-            v = 0.005
-        elif self._cc[g] == self._my_cc:
-            v = 0.02
-        else:
-            v = 0.08
-        self._remap.ensure(g)
-        self._vals.append(v)
-        return v
-
-
 class ProbeState:
     """Discovery / partner-management state of one probe.
 
     ``pi`` is the probe index (``gidx - n_remote``) — the probe's row in
-    the shared :class:`~repro.streaming.buffer.SoAState` bitmaps and in
-    every per-probe score matrix.
+    the shared :class:`~repro.streaming.buffer.SoAState` bitmaps.
+
+    ``code`` is the probe's awareness code of every directory peer, one
+    byte each (bits :data:`~repro.streaming.selection.CODE_BW` …
+    ``CODE_NEAR``): every score and latency the probe reads is a table
+    lookup on it — ``table[codes[cands]]`` for arrays, ``code[g]`` for
+    one peer.
 
     ``known`` and ``partners`` stay Python sets — set iteration order is
     part of the deterministic trace (it decides candidate ordering and the
@@ -295,7 +197,8 @@ class ProbeState:
         "known_mask",
         "partners",
         "partners_arr",
-        "lat_row",
+        "code",
+        "codes",
         "busy",
         "busy_over",
         "_known_arr",
@@ -305,7 +208,7 @@ class ProbeState:
         "_filt_src",
     )
 
-    def __init__(self, gidx: int, pi: int, n_peers: int, lazy: bool = False) -> None:
+    def __init__(self, gidx: int, pi: int, n_peers: int) -> None:
         self.gidx = gidx
         self.pi = pi
         self.known: set[int] = set()
@@ -314,15 +217,13 @@ class ProbeState:
         self.known_mask: np.ndarray = np.zeros(n_peers, dtype=bool)
         self.partners: set[int] = set()
         self.partners_arr: np.ndarray = np.zeros(0, dtype=np.int64)
-        #: This probe's one-way latency row (filled in by the engine once
-        #: the latency model is built; static thereafter).
-        self.lat_row: list[float] = []
-        #: Outstanding chunk requests per provider gidx (pipelining cap).
-        #: Dense list under the eager peer-state policy; a touched-peers
-        #: remap under the lazy one (identical reads/writes either way).
-        self.busy: "list[int] | _RemapCounts" = (
-            _RemapCounts() if lazy else [0] * n_peers
-        )
+        #: Awareness-code row (built when the run starts the probe) and
+        #: its uint8 array view for gathers.
+        self.code: bytes = b""
+        self.codes: np.ndarray = np.zeros(0, dtype=np.uint8)
+        #: Outstanding chunk requests per provider gidx (pipelining cap),
+        #: held only for the providers this probe has requested from.
+        self.busy: Counter[int] = Counter()
         #: Providers currently at/over the pipelining cap — the tiny
         #: (usually empty) complement the schedulers subtract instead of
         #: re-checking ``busy`` per advertised pair.
@@ -462,7 +363,6 @@ class Engine:
         self._signaling = SignalingBook()
 
         self._build_directory(population)
-        self._lazy = select_peer_state(self.n_remote + self.n_probe) == "lazy"
         self._build_protocol_state()
         #: Discovery sampler selection (profile knob, not swarm-format
         #: dependent — sparse and dense runs of one profile draw alike).
@@ -495,10 +395,6 @@ class Engine:
         self._cohort_delays: np.ndarray | None = None
         self._cohort_ready: np.ndarray | None = None
         self._ctx_uid = 0
-        #: Blockwise availability cache (lazy mode): block id → threshold
-        #: block over the stacked cohort scalars.  Cleared whenever the
-        #: participating ctx set (and so the column stacking) changes.
-        self._thr_blocks: dict[int, np.ndarray] = {}
 
     # ----------------------------------------------------------- directory
     def _build_directory(self, population: "list[RemotePeer] | SparseSwarm") -> None:
@@ -678,8 +574,7 @@ class Engine:
         #: partner set are unchanged, so most lookups are a pointer compare.
         self._last_ctx: list = [None] * self.n_probe
         return [
-            ProbeState(self.n_remote + k, k, n_peers, self._lazy)
-            for k in range(self.n_probe)
+            ProbeState(self.n_remote + k, k, n_peers) for k in range(self.n_probe)
         ]
 
     def _build_protocol_state(self) -> None:
@@ -704,38 +599,17 @@ class Engine:
             for policy in (self._partner_policy, self._provider_policy, self._remote_policy)
         )
         # Awareness scores are a pure function of the (chooser, candidate)
-        # endpoint pair — every input is fixed at build time — so the score
-        # of each pair is precomputed once per policy.  Rows go through the
-        # exact same _features → scores pipeline the per-event path used,
-        # and softmax is element-independent, so indexing a cached row by a
-        # candidate subset yields bit-identical probabilities (and hence an
-        # identical RNG draw sequence) to rescoring that subset from scratch.
-        # The same element-independence runs the other way: scoring only a
-        # candidate *subset* yields the exact doubles a full-row gather
-        # would — which is what lets the lazy mode skip the swarm-wide
-        # matrices (3 × probes × peers float64) and score on demand.
-        if self._lazy:
-            self._partner_scores = None
-            self._provider_scores = None
-            self._remote_scores = None
-            #: LRU of full remote-policy rows (the rebalance pass gathers
-            #: against all online remotes, so per-probe rows are built
-            #: whole on first demand and kept under a byte budget).
-            self._remote_rows = ScoreRowCache(
-                self._build_remote_row, _SCORE_ROWS_BUDGET
-            )
-        else:
-            all_peers = np.arange(n, dtype=np.int64)
-            partner_rows, provider_rows, remote_rows = [], [], []
-            for probe in self._probes:
-                feats = self._features(probe.gidx, all_peers)
-                partner_rows.append(self._partner_policy.scores(feats))
-                provider_rows.append(self._provider_policy.scores(feats))
-                remote_rows.append(self._remote_policy.scores(feats))
-            self._partner_scores = np.vstack(partner_rows)
-            self._provider_scores = np.vstack(provider_rows)
-            self._remote_scores = np.vstack(remote_rows)
-            self._remote_rows = None
+        # pair's awareness code, so each policy scores the 32 codes once
+        # and every candidate batch is a gather from that table — the very
+        # doubles scoring the batch's features would give, so the softmax
+        # probabilities and RNG draws are unchanged.
+        self._partner_table = self._partner_policy.score_table()
+        self._provider_table = self._provider_policy.score_table()
+        self._remote_table = self._remote_policy.score_table()
+        self._lat_of = LATENCY_BY_CODE
+        #: Transit-matrix index of every directory peer's AS (near bit
+        #: only; resolved by the first code-row build).
+        self._transit_index: np.ndarray | None = None
         # Tick-loop constants hoisted out of their dataclasses: _on_tick
         # fires tens of thousands of times and these attribute chains are
         # measurable there.
@@ -755,88 +629,47 @@ class Engine:
         #: tick loop can invert cached CDFs with a direct draw (same
         #: generator, same single-uniform consumption as sample_index).
         self._rng_sel = rng_sel
-        # Whether the peer directory is too large for Python-list mirrors
-        # of O(probes × peers) data (the lists trade ~2x scalar-read speed
-        # for a full copy; at paper scale that copy is hundreds of MB).
-        # np.float64 elements hash/compare/format equal to plain floats,
-        # so traces are unaffected either way.
-        list_mirrors = (self.n_remote + self.n_probe) <= _LIST_MIRROR_MAX
-        # Per-probe one-way latency rows (the latency model only depends on
-        # subnet/AS/CC equality, all static); nested lists for scalar reads
-        # at legacy scales, numpy rows beyond _LIST_MIRROR_MAX peers, and
-        # touched-peer remap rows in lazy mode (same doubles on read).
-        if self._lazy:
-            self._lat_rows: list = [
-                _RemapLatRow(self._subnet, self._asn, self._cc, p.gidx)
-                for p in self._probes
-            ]
-        else:
-            lat_arrays = [
-                np.where(
-                    self._subnet == self._subnet[p.gidx],
-                    0.001,
-                    np.where(
-                        self._asn == self._asn[p.gidx],
-                        0.005,
-                        np.where(self._cc == self._cc[p.gidx], 0.02, 0.08),
-                    ),
-                )
-                for p in self._probes
-            ]
-            self._lat_rows = (
-                [row.tolist() for row in lat_arrays] if list_mirrors else lat_arrays
-            )
-        for pi, p in enumerate(self._probes):
-            p.lat_row = self._lat_rows[pi]
 
-    def _build_remote_row(self, pi: int) -> np.ndarray:
-        """Probe ``pi``'s full remote-policy score row, built on demand.
+    def _build_code_row(self, probe: ProbeState) -> None:
+        """Pack ``probe``'s awareness code of every directory peer.
 
-        Identical pipeline (``_features`` → ``scores`` over the whole
-        directory) to the eager build — the row is bit-for-bit the one
-        ``_remote_scores[pi]`` would hold.
+        Each input is a static endpoint column, so the row is built once,
+        when :meth:`run` starts the probe.  The near bit is
+        ``hops < hop_near_threshold`` (as :meth:`PathModel.hops_many
+        <repro.topology.paths.PathModel.hops_many>` counts hops), set only
+        when some policy weighs it.
         """
-        n = self.n_remote + self.n_probe
-        cands = np.arange(n, dtype=np.int64)
-        return self._remote_policy.scores(
-            self._features(self.n_remote + pi, cands)
-        )
+        g = probe.gidx
+        bits = [
+            (CODE_AS, self._asn == self._asn[g]),
+            (CODE_CC, self._cc == self._cc[g]),
+            (CODE_NET, self._subnet == self._subnet[g]),
+        ]
+        if self._need_hop:
+            paths = self.world.paths
+            if self._transit_index is None:
+                self._transit_index = paths.transit_index(self._asn)
+            near = paths.closer_than(
+                self.config.hop_near_threshold,
+                g,
+                self._ip,
+                self._subnet,
+                self._access_depth,
+                self._transit_index,
+            )
+            bits.append((CODE_NEAR, near))
+        codes = self._highbw.astype(np.uint8)  # CODE_BW
+        scratch = np.empty_like(codes)
+        for flag, mask in bits:
+            # Branch-free: a masked ufunc (``where=mask``) is several
+            # times slower on dense masks such as the near bit.
+            codes |= np.multiply(mask.view(np.uint8), flag, out=scratch)
+        probe.code = codes.tobytes()
+        probe.codes = np.frombuffer(probe.code, dtype=np.uint8)
 
     def _partner_scores_for(self, probe: ProbeState, cands: np.ndarray) -> np.ndarray:
-        """Partner-policy scores of ``cands`` from ``probe``'s viewpoint.
-
-        Row gather when eager, on-demand subset scoring when lazy — the
-        score pipeline is element-independent, so both produce the same
-        doubles (and hence the same downstream RNG draws).
-        """
-        if self._lazy:
-            return self._partner_policy.scores(self._features(probe.gidx, cands))
-        return self._partner_scores[probe.gidx - self.n_remote][cands]
-
-    # ------------------------------------------------------------- features
-    def _features(self, chooser: int, cands: np.ndarray) -> CandidateFeatures:
-        """Awareness features of ``cands`` from ``chooser``'s viewpoint."""
-        if self._need_hop:
-            hops = self.world.paths.hops_many(
-                np.full(len(cands), self._ip[chooser]),
-                np.full(len(cands), self._asn[chooser]),
-                np.full(len(cands), self._subnet[chooser]),
-                np.full(len(cands), self._access_depth[chooser]),
-                self._ip[cands],
-                self._asn[cands],
-                self._subnet[cands],
-                self._access_depth[cands],
-            )
-            near = hops < self.config.hop_near_threshold
-        else:
-            near = np.zeros(len(cands), dtype=bool)
-        return CandidateFeatures(
-            highbw=self._highbw[cands],
-            same_as=self._asn[cands] == self._asn[chooser],
-            same_cc=self._cc[cands] == self._cc[chooser],
-            same_net=self._subnet[cands] == self._subnet[chooser],
-            near=near,
-        )
+        """Partner-policy scores of ``cands`` from ``probe``'s viewpoint."""
+        return self._partner_table[probe.codes[cands]]
 
     def _online_mask(self, t: float) -> np.ndarray:
         """Who is online at ``t`` (shared cache — callers must not mutate).
@@ -868,13 +701,6 @@ class Engine:
             nl = ls[nlp] if nlp < len(ls) else np.inf
             self._mask_t1 = nj if nj < nl else nl
         return self._mask
-
-    def _latency(self, a: int, b: int) -> float:
-        # Every latency query involves at least one probe endpoint; the
-        # model is symmetric in (a, b), so one probe-indexed row suffices.
-        if a >= self.n_remote:
-            return self._lat_rows[a - self.n_remote][b]
-        return self._lat_rows[b - self.n_remote][a]
 
     # ------------------------------------------------------------- recording
     def _record(self, t: float, src: int, dst: int, nbytes: int, kind: PacketKind) -> None:
@@ -982,11 +808,13 @@ class Engine:
         t = self._queue.now
         found = self._tracker_sample(probe, self.profile.contact_batch, t)
         hs = self.profile.handshake_bytes
-        for cand in found:
-            c = int(cand)
+        code = probe.code
+        for c in found.tolist():
             probe.add_known(c)
             self._record(t, probe.gidx, c, hs, PacketKind.SIGNALING)
-            self._record(t + 2 * self._latency(probe.gidx, c), c, probe.gidx, hs, PacketKind.SIGNALING)
+            self._record(
+                t + 2 * self._lat_of[code[c]], c, probe.gidx, hs, PacketKind.SIGNALING
+            )
         self._queue.schedule(t + self.profile.contact_interval_s, self._on_discovery, probe)
 
     # -------------------------------------------------------------- partners
@@ -1153,18 +981,11 @@ class Engine:
                     [c["delays"] for c in rctxs]
                 )
                 self._cohort_ready = np.concatenate([c["ready"] for c in rctxs])
-                self._thr_blocks.clear()
             gens = np.arange(floor, newest + 1, dtype=np.float64) * ci
-            if self._lazy:
-                # Blockwise path: thresholds are t-independent chunk
-                # constants, so rows persist across ticks in fixed-span
-                # blocks and only the boolean compare runs per tick.
-                thr = self._thr_window(floor, newest, ci)
-            else:
-                thr = np.maximum(
-                    gens[:, None] + self._cohort_delays[None, :],
-                    self._cohort_ready[None, :],
-                )
+            thr = np.maximum(
+                gens[:, None] + self._cohort_delays[None, :],
+                self._cohort_ready[None, :],
+            )
             AV = thr <= t
             if check_fresh:
                 AV &= (gens + retention > t)[:, None]
@@ -1187,39 +1008,6 @@ class Engine:
                 ctx["cohort_A"] = np.concatenate((avail, pb), axis=1)
         self._cohort_t = t
         self._cohort_floor = floor
-
-    def _thr_window(self, floor: int, newest: int, ci: float) -> np.ndarray:
-        """Assemble ``[floor, newest]`` threshold rows from cached blocks.
-
-        Each block covers chunk ids ``[b·B, (b+1)·B)`` against the current
-        stacked cohort scalars.  A block row for chunk ``c`` is
-        ``max(c·ci + delay, ready)`` — ``np.arange(lo, lo + B) * ci``
-        produces the same ``c·ci`` doubles as the window-wide arange, and
-        ``np.maximum`` is elementwise, so the assembled window is
-        bit-for-bit the matrix the eager path builds per tick.  The live
-        window only walks upward, so eviction drops the lowest block id;
-        a re-touched block rebuilds identically (memory-only bound).
-        """
-        blocks = self._thr_blocks
-        b0 = floor // _THR_BLOCK
-        b1 = newest // _THR_BLOCK
-        parts = []
-        for b in range(b0, b1 + 1):
-            blk = blocks.get(b)
-            if blk is None:
-                lo = b * _THR_BLOCK
-                gens_b = np.arange(lo, lo + _THR_BLOCK, dtype=np.float64) * ci
-                blk = np.maximum(
-                    gens_b[:, None] + self._cohort_delays[None, :],
-                    self._cohort_ready[None, :],
-                )
-                while len(blocks) >= _THR_BLOCKS_MAX:
-                    blocks.pop(min(blocks))
-                blocks[b] = blk
-            parts.append(blk)
-        stack = parts[0] if len(parts) == 1 else np.concatenate(parts)
-        lo0 = b0 * _THR_BLOCK
-        return stack[floor - lo0 : newest + 1 - lo0]
 
     def _context(self, pi: int, partners: np.ndarray) -> dict:
         """Probe ``pi``'s partner context for one online partner array.
@@ -1271,17 +1059,8 @@ class Engine:
                 plan.append((g, -1, g - nr))
                 plan_cols.append(n_rem + p)
                 p += 1
-        # Provider scores over the plan.  Eager: a gather from the
-        # precomputed swarm-wide row.  Lazy: scored on demand over just
-        # these columns — SelectionPolicy.scores is elementwise per
-        # candidate, so the subset compute yields the identical IEEE
-        # doubles the full-row gather would.
-        if self._lazy:
-            scores = self._provider_policy.scores(
-                self._features(self.n_remote + pi, partners)
-            )
-        else:
-            scores = self._provider_scores[pi][partners]
+        # Provider scores over the plan, by awareness code.
+        scores = self._provider_table[self._probes[pi].codes[partners]]
         raw = scores.tobytes()
         probe_plan = [(g, row) for g, _k, row in plan if row >= 0]
         ctx = {
@@ -1462,12 +1241,12 @@ class Engine:
     def _request_chunk(self, probe: ProbeState, provider: int, chunk: int, t: float) -> bool:
         """Issue a chunk request; returns True when a transfer was queued.
 
-        Recording and latency lookups are inlined (same rows, same tuples
-        as :meth:`_record` / :meth:`_latency`): this runs once per request
-        attempt and the call overhead is measurable at that rate.
+        Recording is inlined (same tuples as :meth:`_record`): this runs
+        once per request attempt and the call overhead is measurable at
+        that rate.
         """
         pg = probe.gidx
-        lat = probe.lat_row[provider]
+        lat = self._lat_of[probe.code[provider]]
         ul = self._up_list
         dl = self._down_list
         ipl = self._ip_list
@@ -1563,13 +1342,9 @@ class Engine:
                 k = min(int(rng.poisson(target)), len(remotes))
                 if k == 0:
                     continue
-                pi = probe.gidx - self.n_remote
-                row = (
-                    self._remote_rows.row(pi)
-                    if self._lazy
-                    else self._remote_scores[pi]
+                picked = self._remote_policy.choose_scored(
+                    self._remote_table[probe.codes[remotes]], k
                 )
-                picked = self._remote_policy.choose_scored(row[remotes], k)
                 window_end = min(t + self.config.demand_rebalance_s, self.config.duration_s)
                 for i in picked:
                     r = int(remotes[i])
@@ -1683,7 +1458,7 @@ class Engine:
                         if t < arrival or t >= gen + ret:
                             # The remote lacks it → serve this chunk.
                             nbytes = self._chunk_bytes
-                            lat = probe.lat_row[remote]
+                            lat = self._lat_of[probe.code[remote]]
                             # Inlined UplinkScheduler.admit.
                             t_req = t + lat
                             free = self._ul_free
@@ -1720,6 +1495,7 @@ class Engine:
         t_stagger = self.profile.tick_interval_s / max(1, self.n_probe)
         cohort = self.profile.tick_cohort
         for i, probe in enumerate(self._probes):
+            self._build_code_row(probe)
             found = self._tracker_sample(probe, self.profile.tracker_initial, 0.0)
             for g in found.tolist():
                 probe.add_known(g)
@@ -1781,24 +1557,7 @@ class Engine:
             "video_bytes": int(transfers["bytes"][video].sum()),
             "remote_peers": int(self.n_remote),
             "probes": int(self.n_probe),
-            "peer_state": "lazy" if self._lazy else "eager",
         }
-        if self._lazy:
-            # Residency accounting for the lazy materialisation layer —
-            # counts, not floats, fixed for a fixed seed (the touch
-            # sequence is part of the byte-identity contract).
-            stats["lazy"] = {
-                "score_rows_cached": int(len(self._remote_rows)),
-                "score_row_hits": int(self._remote_rows.hits),
-                "score_row_misses": int(self._remote_rows.misses),
-                "score_row_evictions": int(self._remote_rows.evictions),
-                "max_touched_busy": max(
-                    (len(p.busy) for p in self._probes), default=0
-                ),
-                "max_touched_lat": max(
-                    (len(r) for r in self._lat_rows), default=0
-                ),
-            }
         _log.info(
             "run-complete",
             profile=self.profile.name,

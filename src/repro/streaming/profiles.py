@@ -389,14 +389,10 @@ def mega_scale() -> AppProfile:
 
     Identical protocol knobs to :func:`napa_scale` — same awareness
     weights, same HD channel, same cohort ticking — resized to one
-    million remote peers.  That size is past the engine's
-    :data:`~repro.streaming.engine.LAZY_AUTO_MIN`: the swarm-wide score
-    rows alone would cost ~1.1 GB eager, so per-remote state (score rows,
-    latency rows, busy counters, the remote threshold matrix) is
-    materialised blockwise / on first contact instead.  Lazy
-    materialisation is byte-identical for a fixed seed, so the
-    differential suites gate this profile's kernels at test scale while
-    the CI mega-smoke job exercises the full size.
+    million remote peers.  Per-probe state stays one byte per peer (the
+    awareness-code row) plus what the probe has touched, so the
+    differential suites gate this profile's configuration at test scale
+    while the CI mega-smoke job exercises the full size.
     """
     return replace(napa_scale(), name="mega-scale").scaled_swarm(1_000_000)
 

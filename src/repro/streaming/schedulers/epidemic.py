@@ -103,7 +103,7 @@ class PushEpidemicScheduler(MeshPullScheduler):
             up = ul[pg]
             dn = dl[g]
             bn = up if up < dn else dn
-            lat = probe.lat_row[g]
+            lat = eng._lat_of[probe.code[g]]
             eng._rec_append((start, ipl[pg], ipl[g], nbytes, _KIND_VIDEO, bn))
             soa.inflight_add(st.pi, chunk)
             st.busy[pg] += 1

@@ -62,6 +62,28 @@ class CandidateFeatures:
         return len(self.highbw)
 
 
+#: Bits of an awareness code: the five binary properties of one
+#: (chooser, candidate) pair packed into one byte.  Every score a policy
+#: gives is a function of the code, so a policy has :data:`N_CODES` scores.
+CODE_BW = 1
+CODE_AS = 2
+CODE_CC = 4
+CODE_NET = 8
+CODE_NEAR = 16
+N_CODES = 32
+
+
+def code_features(codes: np.ndarray) -> CandidateFeatures:
+    """The feature columns an array of awareness codes packs."""
+    return CandidateFeatures(
+        highbw=(codes & CODE_BW) > 0,
+        same_as=(codes & CODE_AS) > 0,
+        same_cc=(codes & CODE_CC) > 0,
+        same_net=(codes & CODE_NET) > 0,
+        near=(codes & CODE_NEAR) > 0,
+    )
+
+
 class SelectionPolicy:
     """Softmax sampler over awareness-scored candidates."""
 
@@ -92,6 +114,15 @@ class SelectionPolicy:
         if w.hop:
             score += w.hop * feats.near
         return score
+
+    def score_table(self) -> np.ndarray:
+        """The score of every awareness code, indexed by code.
+
+        :meth:`scores` is elementwise with a fixed add order, so
+        ``score_table()[codes]`` is bit for bit
+        ``scores(code_features(codes))``.
+        """
+        return self.scores(code_features(np.arange(N_CODES)))
 
     def probabilities_from_scores(self, scores: np.ndarray) -> np.ndarray:
         """Softmax selection probabilities for precomputed raw scores.

@@ -190,6 +190,47 @@ class PathModel:
         same_host = np.asarray(src_ips) == np.asarray(dst_ips)
         return np.where(same_subnet | same_host, 0, total)
 
+    def transit_index(self, asns: np.ndarray) -> np.ndarray:
+        """Each AS's row in the transit matrix, registering unknown ASes.
+
+        The indices stay valid for the model's lifetime (registration only
+        appends), so a caller computes them once per endpoint column.
+        """
+        asns = np.asarray(asns, dtype=np.int64)
+        self.ensure_asns(np.unique(asns).tolist())
+        self._materialise()
+        return self._asn_lut[asns]
+
+    def closer_than(
+        self,
+        threshold: int,
+        src: int,
+        ips: np.ndarray,
+        subnets: np.ndarray,
+        access_depths: np.ndarray,
+        asn_index: np.ndarray,
+    ) -> np.ndarray:
+        """``hops_many(src → d) < threshold`` for every endpoint ``d``.
+
+        One source against aligned endpoint columns (``src`` indexes them
+        too; ``asn_index`` is their :meth:`transit_index`).  The jitter
+        lies in ``[0, jitter_span)``, so a destination whose transit plus
+        access depths sit at least ``jitter_span - 1`` below the threshold
+        is near, one at or above it is not, and only the band in between
+        needs the pair hash — the answers are those of :meth:`hops_many`.
+        """
+        self._materialise()
+        span = self._config.jitter_span
+        base = self._transit[asn_index[src]][asn_index] + access_depths + int(access_depths[src])
+        near = base < threshold - (span - 1)
+        band = np.flatnonzero((base < threshold) & ~near)
+        if len(band):
+            jitter = pair_randint(ips[src], ips[band], span, self._config.seed)
+            near[band] = base[band] + jitter < threshold
+        # Same subnet or same host: zero hops.
+        near[(subnets == subnets[src]) | (ips == ips[src])] = 0 < threshold
+        return near
+
 
 def access_depth(endpoint: NetworkEndpoint) -> int:
     """Access-tree depth for one endpoint (helper for vectorised callers)."""

@@ -49,15 +49,12 @@ class TraceBundle:
     @classmethod
     def from_result(cls, result) -> "TraceBundle":
         """Build a bundle from a :class:`SimulationResult`."""
-        extras = getattr(result, "extras", None) or {}
         meta = {
             "profile": result.profile.name,
             "duration_s": result.config.duration_s,
             "seed": result.config.seed,
             "swarm_size": result.profile.swarm_size,
             "scheduler": getattr(result.profile, "scheduler", "mesh-pull"),
-            # What the engine chose for this run: its peer state.
-            "peer_state": extras.get("engine_stats", {}).get("peer_state"),
             "events": result.events_processed,
             # The synthetic Internet is a pure function of its seed; storing
             # it lets analysis rebuild the exact path model (for TTLs).
@@ -70,20 +67,6 @@ class TraceBundle:
             hosts=result.hosts,
             meta=meta,
         )
-
-
-def engine_extras(meta: dict) -> dict:
-    """The engine record of a bundle's meta, as :class:`SimulationResult` extras.
-
-    A result rebuilt from a bundle (a checkpoint resume, a process-backend
-    shard) reports the peer state of the run that wrote it.  Bundles
-    written before the peer state was recorded carry none; the ``engine``
-    key older bundles carry names a core choice that no longer exists and
-    is ignored.
-    """
-    if meta.get("peer_state") is None:
-        return {}
-    return {"engine_stats": {"peer_state": meta["peer_state"]}}
 
 
 def trace_digest(*arrays: np.ndarray) -> str:

@@ -210,10 +210,11 @@ class TestCheckpointResume:
         )
 
     def test_object_core_checkpoint_of_cohort_profile_resumes(self, tmp_path):
-        """A checkpoint whose meta names the engine core that wrote it —
-        what campaigns left behind before the object core was deleted —
-        loads, resumes, and matches a fresh run byte for byte.  No engine
-        guard rejects it and the old key is not carried forward."""
+        """A checkpoint whose meta names the engine core and the peer
+        state that wrote it — what campaigns left behind before the object
+        core and the eager/lazy modes were deleted — loads, resumes, and
+        matches a fresh run byte for byte.  No guard rejects it and neither
+        old key is carried forward."""
         cfg = CampaignConfig(
             apps=("napa-scale",),
             duration_s=15.0,
@@ -222,13 +223,13 @@ class TestCheckpointResume:
             checkpoint_dir=str(tmp_path),
         )
         assert run_campaign(cfg, backend="serial").ok
-        # Rewrite the bundle as an object-core checkpoint from before the
-        # peer state was recorded.
+        # Rewrite the bundle as an object-core checkpoint that recorded
+        # its peer state.
         path = tmp_path / "napa-scale.npz"
         bundle = load_trace_bundle(path)
-        assert "engine" not in bundle.meta
+        assert "engine" not in bundle.meta and "peer_state" not in bundle.meta
         bundle.meta["engine"] = "object"
-        del bundle.meta["peer_state"]
+        bundle.meta["peer_state"] = "eager"
         save_trace_bundle(path, bundle)
 
         resumed = run_campaign(cfg)
@@ -244,7 +245,8 @@ class TestCheckpointResume:
         assert a.report["BW"].download.B == b.report["BW"].download.B
         assert "engine_mode" not in a.result.extras
         [shard] = manifest_from_campaign(resumed).shards
-        assert shard["peer_state"] is None and "engine" not in shard
+        assert "peer_state" not in shard and "engine" not in shard
+        assert a.result.extras == {}
 
     def test_stale_checkpoint_falls_back_to_simulation(self, tmp_path):
         base = CampaignConfig(apps=("tvants",), checkpoint_dir=str(tmp_path), **SMALL)

@@ -17,8 +17,9 @@ regenerate when the behaviour change is intentional:
 ``object_core_hashes.json`` freezes the output of the deleted object
 engine core for every case the differential suites compared the
 struct-of-arrays core against: full digests (transfers, signaling, hosts,
-events, per-kind dispatch and schedule counters, lazy residency counters)
-keyed by case name.  The object core wrote it itself, on the last tree
+events, per-kind dispatch and schedule counters, and — for the runs that
+forced lazy peer state — that mode's residency counters) keyed by case
+name.  The object core wrote it itself, on the last tree
 that had one, so it stays the differential oracle after that core is
 gone.  There is no regeneration command for it: the one core that exists
 now would only be recording itself.  This module keeps the case
@@ -88,10 +89,12 @@ def random_case_key(case: tuple) -> str:
 
 #: Paper-scale differential cases, by fixture key: the swarm profile, its
 #: remote-peer count, the run, and what the run forces.  ``tick_cohort``
-#: overrides the profile's tick driver; ``peer_state`` forces lazy or
-#: eager peer state; ``representation`` feeds the engine the sparse
-#: columns or their ``RemotePeer`` view (see
-#: ``tests/streaming/test_scale_differential.py``).
+#: overrides the profile's tick driver; ``representation`` feeds the
+#: engine the sparse columns or their ``RemotePeer`` view (see
+#: ``tests/streaming/test_scale_differential.py``).  ``peer_state`` names
+#: the peer-state mode the object core was forced into when it wrote the
+#: entry; the engine now has one mode, so :func:`scale_case_result`
+#: ignores it and cases that differ only in it are the same run.
 SCALE_CASES: dict[str, dict] = {
     "napa-mid-swarm": dict(profile="napa-scale", size=2500, seed=7, duration_s=90.0),
     "napa-alias-seed3": dict(profile="napa-scale", size=1200, seed=3, duration_s=45.0),
@@ -186,8 +189,6 @@ def full_digest(result) -> dict:
         "dispatch_by_kind": stats["dispatch_by_kind"],
         "schedule_by_kind": stats["schedule_by_kind"],
     }
-    if "lazy" in stats:
-        out["lazy"] = stats["lazy"]
     return out
 
 
@@ -215,28 +216,25 @@ def scale_case_result(case: dict):
     from repro.topology.testbed import build_napa_wine_testbed
     from repro.topology.world import World
 
-    from tests.seams import forced
-
     profile = get_profile(case["profile"]).scaled_swarm(case["size"])
     if "tick_cohort" in case:
         profile = replace(profile, tick_cohort=case["tick_cohort"])
     seed, duration_s = case["seed"], case["duration_s"]
-    with forced(peer_state=case.get("peer_state")):
-        if "representation" not in case:
-            return simulate(profile, seed=seed, duration_s=duration_s)
-        # simulate()'s plumbing with the population step made explicit, so
-        # one drawn swarm can be fed as columns or as RemotePeer objects.
-        world = World()
-        testbed = build_napa_wine_testbed(world)
-        demo = crossswarm_audience(probe_as_fraction=profile.probe_as_fraction)
-        swarm = generate_sparse_swarm(
-            world,
-            SparseSwarmConfig(size=profile.swarm_size, demographics=demo),
-            RngBundle(seed)["population"],
-        )
-        population = swarm if case["representation"] == "sparse" else swarm.peers()
-        config = EngineConfig(duration_s=duration_s, seed=seed)
-        return Engine(world, testbed, profile, population, config).run()
+    if "representation" not in case:
+        return simulate(profile, seed=seed, duration_s=duration_s)
+    # simulate()'s plumbing with the population step made explicit, so
+    # one drawn swarm can be fed as columns or as RemotePeer objects.
+    world = World()
+    testbed = build_napa_wine_testbed(world)
+    demo = crossswarm_audience(probe_as_fraction=profile.probe_as_fraction)
+    swarm = generate_sparse_swarm(
+        world,
+        SparseSwarmConfig(size=profile.swarm_size, demographics=demo),
+        RngBundle(seed)["population"],
+    )
+    population = swarm if case["representation"] == "sparse" else swarm.peers()
+    config = EngineConfig(duration_s=duration_s, seed=seed)
+    return Engine(world, testbed, profile, population, config).run()
 
 
 def regenerate() -> pathlib.Path:

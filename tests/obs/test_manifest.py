@@ -97,8 +97,8 @@ class TestCampaignManifest:
         assert shard["failed_stages"] == []
         # Per-shard stage timings came through the telemetry pipe.
         assert "shard/simulate" in shard["telemetry"]["timers"]
-        # What the engine chose for the run, under any backend.
-        assert shard["peer_state"] == "eager"
+        # There is one engine core and one peer-state mode: nothing to record.
+        assert "peer_state" not in shard
         assert "engine" not in shard
 
     def test_engine_and_capture_counters_present(self, manifest):
@@ -178,7 +178,7 @@ class TestSummary:
         assert "COUNTERS" in out
         assert "tvants" in out
         assert "engine/events" in out
-        assert "peer state" in out and "eager" in out
+        assert "peer state" not in out
 
     def test_summary_surfaces_peak_rss(self, manifest):
         out = render_manifest_summary(manifest)

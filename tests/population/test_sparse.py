@@ -1,4 +1,4 @@
-"""Sparse swarm columns, lazy blocks and the alias sampler.
+"""Sparse swarm columns, lazy blocks and the biased discovery sampler.
 
 The sparse representation's contract has three legs:
 
@@ -12,9 +12,10 @@ The sparse representation's contract has three legs:
   the dense generator's rules (access plans, campus placement, TTL mix)
   even though the streams differ.
 
-:class:`AliasTable` is pinned separately: the engine's tracker sampler
-uses the algebraically-equivalent two-valued fast path, so the general
-table would otherwise lose coverage.
+The engine's alias-discovery sampler draws peer indices over these
+columns from two-valued weights (``1 + bias`` for the chooser's AS, 1
+elsewhere); :class:`TestBiasedSampler` pins its distribution and its
+draw consumption directly.
 """
 
 import numpy as np
@@ -24,12 +25,10 @@ from repro.errors import ConfigurationError
 from repro.population.demographics import cctv1_audience
 from repro.population.sparse import (
     DEFAULT_BLOCK_SIZE,
-    AliasTable,
-    IndexRemap,
-    ScoreRowCache,
     SparseSwarmConfig,
     generate_sparse_swarm,
 )
+from repro.streaming.engine import _BiasedSampler
 from repro.streaming.profiles import get_profile
 from repro.topology.world import PROBE_AS_NUMBERS, World
 
@@ -160,127 +159,59 @@ class TestFidelity:
         assert not np.isin(cols.asn, sorted(campus_asns)).any()
 
 
-class TestAliasTable:
-    def test_rejects_bad_weights(self):
-        for bad in ([], [-1.0, 2.0], [np.inf, 1.0], [0.0, 0.0]):
-            with pytest.raises(ConfigurationError):
-                AliasTable(np.array(bad, dtype=np.float64))
+class TestBiasedSampler:
+    """The exact sampler over the weights ``1 + bias·[same AS]``."""
+
+    N = 50
+    SAME = np.array([3, 7, 11, 20], dtype=np.int64)
+
+    @staticmethod
+    def _weights(n, same, bias):
+        w = np.ones(n)
+        w[same] += bias
+        return w / w.sum()
 
     def test_deterministic(self):
-        table = AliasTable(np.array([1.0, 2.0, 3.0]))
-        a = table.draw(np.random.default_rng(4), 100)
-        b = table.draw(np.random.default_rng(4), 100)
+        sampler = _BiasedSampler(self.N, self.SAME, 4.0)
+        a = sampler.draw(np.random.default_rng(4), 100)
+        b = sampler.draw(np.random.default_rng(4), 100)
         assert np.array_equal(a, b)
 
     def test_distribution_matches_weights(self):
-        w = np.array([1.0, 3.0, 6.0])
-        table = AliasTable(w)
-        draws = table.draw(np.random.default_rng(1), 60_000)
-        freq = np.bincount(draws, minlength=3) / len(draws)
-        assert np.allclose(freq, w / w.sum(), atol=0.02)
+        sampler = _BiasedSampler(self.N, self.SAME, 4.0)
+        draws = sampler.draw(np.random.default_rng(1), 200_000)
+        freq = np.bincount(draws, minlength=self.N) / len(draws)
+        assert np.allclose(freq, self._weights(self.N, self.SAME, 4.0), atol=0.003)
 
-    def test_uniform_weights_stay_uniform(self):
-        table = AliasTable(np.ones(7))
-        draws = table.draw(np.random.default_rng(2), 70_000)
-        freq = np.bincount(draws, minlength=7) / len(draws)
-        assert np.allclose(freq, 1 / 7, atol=0.02)
-
-    def test_single_bucket_always_wins(self):
-        # Degenerate n=1 table: every draw must return index 0 (the alias
-        # construction has no partner bucket to split probability with).
-        table = AliasTable(np.array([2.5]))
-        draws = table.draw(np.random.default_rng(5), 1000)
-        assert np.array_equal(draws, np.zeros(1000, dtype=draws.dtype))
-
-    def test_zero_probability_entries_never_drawn(self):
-        w = np.array([0.0, 5.0, 0.0, 1.0, 0.0])
-        table = AliasTable(w)
-        draws = table.draw(np.random.default_rng(6), 30_000)
-        assert set(np.unique(draws).tolist()) <= {1, 3}
-        freq = np.bincount(draws, minlength=5) / len(draws)
-        assert np.allclose(freq, w / w.sum(), atol=0.02)
+    @pytest.mark.parametrize("same", [SAME, np.zeros(0, dtype=np.int64)], ids=["as", "no-as"])
+    def test_zero_bias_is_one_uniform_draw(self, same):
+        """Without a bias the sampler is the uniform one: one ``integers``
+        batch, the same indices, the same generator state after."""
+        rng, ref = np.random.default_rng(3), np.random.default_rng(3)
+        draws = _BiasedSampler(self.N, same, 0.0).draw(rng, 100)
+        assert np.array_equal(draws, ref.integers(0, self.N, size=100))
+        assert rng.bit_generator.state == ref.bit_generator.state
 
     def test_matches_generator_choice_frequencies(self):
-        """Property: alias draws ≈ ``Generator.choice`` for random weights.
-
-        Hypothesis explores the weight space (mixed magnitudes, zeros,
-        short and long tables); both samplers target the same normalised
-        distribution, so large-sample frequencies must agree within a
-        tolerance far tighter than any miscomputed alias/prob pair could
-        satisfy.
-        """
+        """Property: biased draws follow the normalised two-valued weights
+        for any directory size, same-AS subset and bias."""
         from hypothesis import given, settings, strategies as st
 
         @settings(max_examples=30, deadline=None)
         @given(
-            weights=st.lists(
-                st.floats(min_value=0.0, max_value=50.0, allow_nan=False),
-                min_size=1,
-                max_size=12,
-            ).filter(lambda ws: sum(ws) > 0),
+            n=st.integers(min_value=1, max_value=30),
+            picks=st.lists(st.integers(min_value=0, max_value=29), max_size=10),
+            bias=st.floats(min_value=0.0, max_value=20.0, allow_nan=False),
             seed=st.integers(min_value=0, max_value=2**31 - 1),
         )
-        def check(weights, seed):
-            w = np.array(weights, dtype=np.float64)
-            p = w / w.sum()
-            n = 40_000
-            alias = AliasTable(w).draw(np.random.default_rng(seed), n)
-            ref = np.random.default_rng(seed + 1).choice(len(w), size=n, p=p)
-            f_alias = np.bincount(alias, minlength=len(w)) / n
-            f_ref = np.bincount(ref, minlength=len(w)) / n
-            assert np.allclose(f_alias, p, atol=0.03)
-            assert np.allclose(f_alias, f_ref, atol=0.05)
+        def check(n, picks, bias, seed):
+            same = np.unique([p % n for p in picks]).astype(np.int64)
+            p = self._weights(n, same, bias)
+            draws = _BiasedSampler(n, same, bias).draw(np.random.default_rng(seed), 40_000)
+            freq = np.bincount(draws, minlength=n) / len(draws)
+            assert np.allclose(freq, p, atol=0.03)
 
         check()
-
-
-class TestIndexRemap:
-    """The compact first-contact index map behind lazy per-remote state."""
-
-    def test_slots_assigned_densely_in_touch_order(self):
-        remap = IndexRemap()
-        assert remap.slot(70_000) is None
-        assert remap.ensure(70_000) == 0
-        assert remap.ensure(12) == 1
-        assert remap.ensure(70_000) == 0  # idempotent
-        assert remap.slot(12) == 1
-        assert len(remap) == 2
-
-
-class TestScoreRowCache:
-    """On-demand score rows under a byte budget, LRU-evicted."""
-
-    def test_builds_once_then_hits(self):
-        built = []
-
-        def build(k):
-            built.append(k)
-            return np.full(8, float(k))
-
-        cache = ScoreRowCache(build, budget_bytes=1 << 20)
-        a = cache.row(3)
-        b = cache.row(3)
-        assert a is b and built == [3]
-        assert cache.hits == 1 and cache.misses == 1
-
-    def test_evicts_least_recently_used_within_budget(self):
-        row_bytes = np.zeros(8).nbytes
-        cache = ScoreRowCache(
-            lambda k: np.full(8, float(k)), budget_bytes=2 * row_bytes
-        )
-        cache.row(0)
-        cache.row(1)
-        cache.row(0)  # refresh 0 → 1 is now the LRU entry
-        cache.row(2)  # over budget: evicts 1, keeps 0 and 2
-        assert cache.evictions == 1
-        assert cache.nbytes <= 2 * row_bytes
-        cache.row(0)
-        assert cache.misses == 3  # 0, 1, 2 — the refreshed 0 never rebuilt
-
-    def test_single_row_kept_even_over_budget(self):
-        cache = ScoreRowCache(lambda k: np.zeros(64), budget_bytes=1)
-        row = cache.row(9)
-        assert row.size == 64 and len(cache) == 1
 
 
 class TestScaledSwarm:

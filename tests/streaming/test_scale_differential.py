@@ -14,22 +14,25 @@ Two independence claims make the napa-scale profile trustworthy:
 
 Both are checked through full digests: transfer rows, signaling rows,
 host rows, total events processed and the per-kind dispatch and
-schedule counters.  napa-scale runs with eager peer state below 10^6
-peers by itself; the other side of each lazy/eager pair is forced
-through the test seam (:mod:`tests.seams`).
+schedule counters.  The object core also ran some cases with eager and
+with lazy peer state; the engine has one peer-state mode now (one
+awareness-code row per probe), so each such pair is one run here that
+must match both frozen entries.
 """
 
 import functools
 import json
 
+import numpy as np
 import pytest
 
 from repro.config import RngBundle
 from repro.errors import ConfigurationError
 from repro.population.demographics import crossswarm_audience
 from repro.population.sparse import SparseSwarmConfig, generate_sparse_swarm
-from repro.streaming.engine import select_peer_state
+from repro.streaming.engine import Engine, EngineConfig, ProbeState
 from repro.streaming.profiles import get_profile
+from repro.topology.testbed import build_napa_wine_testbed
 from repro.topology.world import World
 
 from tests.golden.regen_engine import (
@@ -38,7 +41,6 @@ from tests.golden.regen_engine import (
     full_digest,
     scale_case_result,
 )
-from tests.seams import simulate_forced
 
 
 @pytest.fixture(scope="module")
@@ -57,8 +59,10 @@ def _case(key):
     return full_digest(scale_case_result(SCALE_CASES[key]))
 
 
-def _without_lazy(digest):
-    return {k: v for k, v in digest.items() if k != "lazy"}
+def _trace_fields(frozen):
+    """A frozen entry minus the residency counters of the deleted lazy
+    peer-state mode — every field one run of the engine reports."""
+    return {k: v for k, v in frozen.items() if k != "lazy"}
 
 
 def test_fixture_describes_these_cases():
@@ -113,64 +117,75 @@ class TestEngineIndependenceAtScale:
 
 
 class TestLazyPeerState:
-    """Lazy materialisation ≡ eager precompute, byte for byte.
+    """The object core's forced eager/lazy pairs, now one run each.
 
-    The mega-scale kernels (on-demand score rows, first-contact busy and
-    latency state, blockwise availability) must compute the very same
-    IEEE doubles the eager path precomputes up front — checked at test
-    scale against a live eager run and against the object core's frozen
-    runs (``reference``), including the mega-scale profile's own
-    configuration resized down.
+    The object core ran these cases once with swarm-wide score matrices
+    (eager) and once with first-touch state (lazy), byte-identical to
+    each other.  The engine's one peer-state mode — an awareness-code
+    row per probe, scores and latencies by table lookup — runs each case
+    once and must equal both frozen entries on every trace field.
     """
 
     @staticmethod
-    def _check_lazy_pair(prefix, reference, object_core):
-        lazy = _case(f"{prefix}-lazy")
-        if reference == "object":
-            assert lazy == object_core[f"{prefix}-lazy"]
-            eager = object_core[f"{prefix}-eager"]
-        else:
-            eager = _case(f"{prefix}-eager")
-        assert _without_lazy(lazy) == eager
+    def _check_pair(run_key, *frozen_keys, object_core):
+        digest = _case(run_key)
+        for key in frozen_keys:
+            assert digest == _trace_fields(object_core[key]), key
 
-    @pytest.mark.parametrize("reference", ["object", "soa"])
-    def test_lazy_equals_eager_both_engines(self, reference, object_core):
-        self._check_lazy_pair("napa", reference, object_core)
+    def test_napa_scale_matches_eager_and_lazy_entries(self, object_core):
+        assert SCALE_CASES["napa-eager"] == dict(SCALE_CASES["napa-lazy"], peer_state="eager")
+        self._check_pair("napa-lazy", "napa-eager", "napa-lazy", object_core=object_core)
 
-    @pytest.mark.parametrize("reference", ["object", "soa"])
-    def test_mega_scale_config_matches_eager_at_test_scale(self, reference, object_core):
-        assert select_peer_state(get_profile("mega-scale").swarm_size) == "lazy"
-        self._check_lazy_pair("mega", reference, object_core)
+    def test_mega_scale_config_matches_eager_at_test_scale(self, object_core):
+        assert SCALE_CASES["mega-eager"] == dict(SCALE_CASES["mega-lazy"], peer_state="eager")
+        self._check_pair("mega-lazy", "mega-eager", "mega-lazy", object_core=object_core)
 
-    @pytest.mark.parametrize("reference", ["object", "soa"])
-    def test_lazy_sparse_equals_dense(self, reference, object_core):
-        sparse = _case("napa-lazy-sparse")
-        if reference == "object":
-            assert sparse == object_core["napa-lazy-sparse"]
-            assert sparse == object_core["napa-lazy-dense"]
-        else:
-            assert sparse == _case("napa-lazy-dense")
+    def test_sparse_equals_dense_frozen_entries(self, object_core):
+        assert _case("napa-lazy-sparse") == _case("napa-lazy-dense")
+        self._check_pair(
+            "napa-lazy-sparse", "napa-lazy-sparse", "napa-lazy-dense", object_core=object_core
+        )
 
-    @pytest.mark.parametrize("reference", ["object", "soa"])
-    def test_lazy_stats_report_touched_subsets(self, reference, object_core):
-        """The lazy counters expose the point of the whole layer: the
-        resident per-remote state covers a strict subset of the swarm —
-        in this run and in the object core's frozen one."""
-        if reference == "object":
-            lazy = object_core["napa-lazy"]["lazy"]
-        else:
-            res = simulate_forced(_napa(1200), peer_state="lazy", seed=7, duration_s=45.0)
-            assert res.extras["engine_stats"]["peer_state"] == "lazy"
-            lazy = res.extras["engine_stats"]["lazy"]
-        n = _napa(1200).swarm_size
-        assert 0 < lazy["max_touched_busy"] < n
-        assert 0 < lazy["max_touched_lat"] < n
-        assert lazy["score_row_misses"] >= lazy["score_rows_cached"] > 0
+    def test_state_bounded_by_touched_peers(self):
+        """After a test-scale napa-scale run each probe holds one n-byte
+        code row and busy counters for the providers it touched only; no
+        float64 array spans probes × peers anywhere in the engine."""
+        profile = _napa(1200)
+        world = World()
+        testbed = build_napa_wine_testbed(world)
+        demo = crossswarm_audience(probe_as_fraction=profile.probe_as_fraction)
+        swarm = generate_sparse_swarm(
+            world,
+            SparseSwarmConfig(size=profile.swarm_size, demographics=demo),
+            RngBundle(7)["population"],
+        )
+        eng = Engine(world, testbed, profile, swarm, EngineConfig(duration_s=45.0, seed=7))
+        eng.run()
+        n = eng.n_remote + eng.n_probe
+        for probe in eng._probes:
+            assert isinstance(probe.code, bytes) and len(probe.code) == n
+            assert 0 < len(probe.busy) < n
+        big = eng.n_probe * n
+        seen = set()
 
-    def test_lazy_counters_engine_agnostic(self, object_core):
-        """The lazy counters count protocol-level contacts, so they match
-        the object core's."""
-        assert _case("napa-lazy")["lazy"] == object_core["napa-lazy"]["lazy"]
+        def float_matrices(obj, depth=0):
+            if id(obj) in seen or depth > 4:
+                return
+            seen.add(id(obj))
+            if isinstance(obj, np.ndarray):
+                if obj.dtype == np.float64 and obj.size >= big:
+                    yield obj.shape
+            elif isinstance(obj, dict):
+                for v in obj.values():
+                    yield from float_matrices(v, depth + 1)
+            elif isinstance(obj, (list, tuple, set)):
+                for v in obj:
+                    yield from float_matrices(v, depth + 1)
+            elif isinstance(obj, ProbeState):
+                for name in ProbeState.__slots__:
+                    yield from float_matrices(getattr(obj, name), depth + 1)
+
+        assert list(float_matrices(vars(eng))) == []
 
 
 class TestScaleValidation:
