@@ -132,7 +132,7 @@ class TestLazyPeerState:
         for key in frozen_keys:
             assert digest == _trace_fields(object_core[key]), key
 
-    def test_napa_scale_matches_eager_and_lazy_entries(self, object_core):
+    def test_napa_scale_matches_both_frozen_modes(self, object_core):
         assert SCALE_CASES["napa-eager"] == dict(SCALE_CASES["napa-lazy"], peer_state="eager")
         self._check_pair("napa-lazy", "napa-eager", "napa-lazy", object_core=object_core)
 
