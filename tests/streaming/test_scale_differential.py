@@ -59,6 +59,29 @@ def _case(key):
     return full_digest(scale_case_result(SCALE_CASES[key]))
 
 
+@functools.lru_cache(maxsize=None)
+def _napa_case_engine():
+    """The engine after the ``napa-lazy`` case, kept for state checks.
+
+    Built like :func:`scale_case_result`'s sparse path (the population
+    step ``simulate`` takes for napa-scale), returned with the run's full
+    digest so a check can tie the state to the frozen entry.
+    """
+    case = SCALE_CASES["napa-lazy"]
+    profile = _napa(case["size"])
+    world = World()
+    testbed = build_napa_wine_testbed(world)
+    demo = crossswarm_audience(probe_as_fraction=profile.probe_as_fraction)
+    swarm = generate_sparse_swarm(
+        world,
+        SparseSwarmConfig(size=profile.swarm_size, demographics=demo),
+        RngBundle(case["seed"])["population"],
+    )
+    config = EngineConfig(duration_s=case["duration_s"], seed=case["seed"])
+    eng = Engine(world, testbed, profile, swarm, config)
+    return eng, full_digest(eng.run())
+
+
 def _trace_fields(frozen):
     """A frozen entry minus the residency counters of the deleted lazy
     peer-state mode — every field one run of the engine reports."""
@@ -123,7 +146,9 @@ class TestLazyPeerState:
     (eager) and once with first-touch state (lazy), byte-identical to
     each other.  The engine's one peer-state mode — an awareness-code
     row per probe, scores and latencies by table lookup — runs each case
-    once and must equal both frozen entries on every trace field.
+    once and must equal both frozen entries on every trace field
+    (``reference="object"``); the two case configurations of a pair now
+    run the same code, so they must agree live too (``reference="soa"``).
     """
 
     @staticmethod
@@ -132,39 +157,62 @@ class TestLazyPeerState:
         for key in frozen_keys:
             assert digest == _trace_fields(object_core[key]), key
 
-    def test_napa_scale_matches_both_frozen_modes(self, object_core):
+    @pytest.mark.parametrize("reference", ["object", "soa"])
+    def test_lazy_equals_eager_both_engines(self, reference, object_core):
         assert SCALE_CASES["napa-eager"] == dict(SCALE_CASES["napa-lazy"], peer_state="eager")
-        self._check_pair("napa-lazy", "napa-eager", "napa-lazy", object_core=object_core)
+        if reference == "object":
+            self._check_pair("napa-lazy", "napa-eager", "napa-lazy", object_core=object_core)
+        else:
+            assert _case("napa-lazy") == _case("napa-eager")
 
     def test_mega_scale_config_matches_eager_at_test_scale(self, object_core):
         assert SCALE_CASES["mega-eager"] == dict(SCALE_CASES["mega-lazy"], peer_state="eager")
         self._check_pair("mega-lazy", "mega-eager", "mega-lazy", object_core=object_core)
 
-    def test_sparse_equals_dense_frozen_entries(self, object_core):
-        assert _case("napa-lazy-sparse") == _case("napa-lazy-dense")
-        self._check_pair(
-            "napa-lazy-sparse", "napa-lazy-sparse", "napa-lazy-dense", object_core=object_core
-        )
+    @pytest.mark.parametrize("reference", ["object", "soa"])
+    def test_lazy_sparse_equals_dense(self, reference, object_core):
+        if reference == "object":
+            self._check_pair(
+                "napa-lazy-sparse", "napa-lazy-sparse", "napa-lazy-dense", object_core=object_core
+            )
+        else:
+            assert _case("napa-lazy-sparse") == _case("napa-lazy-dense")
+
+    @pytest.mark.parametrize("reference", ["object", "soa"])
+    def test_lazy_stats_report_touched_subsets(self, reference, object_core):
+        """Per-remote mutable state covers a strict subset of the swarm —
+        in the object core's frozen lazy counters, and in this engine's
+        busy counters, which hold only the providers a probe touched."""
+        if reference == "object":
+            n = _napa(1200).swarm_size
+            lazy = object_core["napa-lazy"]["lazy"]
+            assert 0 < lazy["max_touched_busy"] < n
+            assert 0 < lazy["max_touched_lat"] < n
+            assert lazy["score_row_misses"] >= lazy["score_rows_cached"] > 0
+        else:
+            eng, _ = _napa_case_engine()
+            n = eng.n_remote + eng.n_probe
+            for probe in eng._probes:
+                assert 0 < len(probe.busy) < n
+
+    def test_lazy_counters_engine_agnostic(self, object_core):
+        """Busy counters are created on a probe's first request to a
+        provider — a protocol-level contact — so the widest touched set
+        matches the object core's frozen ``max_touched_busy``."""
+        eng, digest = _napa_case_engine()
+        assert digest == _trace_fields(object_core["napa-lazy"])
+        touched = max(len(probe.busy) for probe in eng._probes)
+        assert touched == object_core["napa-lazy"]["lazy"]["max_touched_busy"]
 
     def test_state_bounded_by_touched_peers(self):
         """After a test-scale napa-scale run each probe holds one n-byte
-        code row and busy counters for the providers it touched only; no
-        float64 array spans probes × peers anywhere in the engine."""
-        profile = _napa(1200)
-        world = World()
-        testbed = build_napa_wine_testbed(world)
-        demo = crossswarm_audience(probe_as_fraction=profile.probe_as_fraction)
-        swarm = generate_sparse_swarm(
-            world,
-            SparseSwarmConfig(size=profile.swarm_size, demographics=demo),
-            RngBundle(7)["population"],
-        )
-        eng = Engine(world, testbed, profile, swarm, EngineConfig(duration_s=45.0, seed=7))
-        eng.run()
+        code row (its busy counters are bounded by the touched-subset
+        check above); no float64 array spans probes × peers anywhere in
+        the engine."""
+        eng, _ = _napa_case_engine()
         n = eng.n_remote + eng.n_probe
         for probe in eng._probes:
             assert isinstance(probe.code, bytes) and len(probe.code) == n
-            assert 0 < len(probe.busy) < n
         big = eng.n_probe * n
         seen = set()
 
