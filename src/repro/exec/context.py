@@ -67,8 +67,3 @@ def campaign_context(
     later campaigns.
     """
     return shard_context(config)
-
-
-def clear_context_cache() -> None:
-    """Drop the pristine cache (tests use this to measure cold builds)."""
-    _PRISTINE.clear()

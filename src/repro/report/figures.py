@@ -16,11 +16,6 @@ from repro.experiments.figure2 import Figure2
 from repro.units import fmt_bytes
 
 
-def _bar(pct: float, width: int = 40) -> str:
-    filled = int(round(pct / 100.0 * width))
-    return "#" * filled + "." * (width - filled)
-
-
 def render_figure1(figure: Figure1) -> str:
     """Render Figure 1 (geographical breakdown) as labelled bars."""
     lines = ["FIGURE 1 — geographical breakdown of peers / RX bytes / TX bytes"]

@@ -31,8 +31,8 @@ from repro.population.demographics import (
     cctv1_audience,
     crossswarm_audience,
 )
-from repro.population.generator import PopulationConfig, RemotePeer, generate_population
-from repro.population.sparse import SparseSwarm, SparseSwarmConfig, generate_sparse_swarm
+from repro.population.generator import PopulationConfig, SwarmColumns, generate_population
+from repro.population.sparse import generate_sparse_swarm
 from repro.streaming.availability import RemoteAvailability
 from repro.streaming.buffer import SoAState, window_chunks
 from repro.streaming.events import EventQueue
@@ -79,18 +79,6 @@ FIREWALL_DROP_PROB = 0.8
 #: "cache audit"): evicted entries are recomputed bit-identically on the
 #: next miss, so the bounds affect memory only, never the trace.
 _PARTNER_CTX_MAX = 8
-
-#: Largest (chunks × partners) availability question answered by the
-#: scalar per-chunk scan; anything larger builds the availability matrix.
-#: The paper profiles ask for ~2 holes × 15–40 partners per tick, where a
-#: few Python compares beat the fixed cost of a chain of numpy calls; the
-#: 200-partner napa-scale windows amortise the matrix.
-_SCALAR_PAIRS_MAX = 400
-
-#: Extra chunk-range coverage built into each availability-threshold
-#: matrix, so the per-tick lookup only rebuilds when the live edge crosses
-#: the covered top (amortises the vectorised rebuild over many ticks).
-_THR_SLACK = 256
 
 #: Oversampling rounds allowed per alias-sampled tracker reply before the
 #: reply is returned short (candidates are rejected when offline, already
@@ -328,11 +316,13 @@ class _BiasedSampler:
 class Engine:
     """One experiment: one application profile on one synthetic Internet.
 
-    Per-probe buffer state lives in shared bitmaps
-    (:class:`~repro.streaming.buffer.SoAState`), so the per-tick hole scan
-    and the availability questions the schedulers ask can run as array
-    kernels when they are large (the 1.8×10^5-peer cohort ticks) and as
-    short scalar scans when they are small (the paper profiles).
+    The remote swarm arrives as :class:`~repro.population.generator.
+    SwarmColumns`, whichever scheme drew it.  Per-probe buffer state lives
+    in shared bitmaps (:class:`~repro.streaming.buffer.SoAState`).  The
+    tick driver decides how the schedulers' availability questions are
+    answered: a cohort tick (``profile.tick_cohort``) builds one array
+    block for every probe and each probe gathers its rows from it; a
+    per-probe tick asks a short scalar scan.
     """
 
     def __init__(
@@ -340,7 +330,7 @@ class Engine:
         world: World,
         testbed: Testbed,
         profile: AppProfile,
-        population: list[RemotePeer],
+        population: SwarmColumns,
         config: EngineConfig,
     ) -> None:
         self.world = world
@@ -364,8 +354,8 @@ class Engine:
 
         self._build_directory(population)
         self._build_protocol_state()
-        #: Discovery sampler selection (profile knob, not swarm-format
-        #: dependent — sparse and dense runs of one profile draw alike).
+        #: Discovery sampler selection (profile knob, independent of the
+        #: scheme that drew the swarm).
         self._alias_tables: dict[int, _BiasedSampler] = {}
         if profile.discovery == "alias":
             self._tracker_sample = self._tracker_sample_alias  # type: ignore[method-assign]
@@ -397,88 +387,44 @@ class Engine:
         self._ctx_uid = 0
 
     # ----------------------------------------------------------- directory
-    def _build_directory(self, population: "list[RemotePeer] | SparseSwarm") -> None:
-        """Flatten remotes + probes into aligned attribute arrays.
+    def _build_directory(self, cols: SwarmColumns) -> None:
+        """Append the probes to the remote columns as aligned attribute arrays.
 
         Global index space: remotes occupy ``[0, R)``, probes ``[R, R+P)``.
-        A dense population (list of :class:`RemotePeer`) is flattened
-        object-by-object; a :class:`~repro.population.sparse.SparseSwarm`
-        contributes its columns directly — no per-remote objects exist at
-        any point on that path.
         """
         probes = [h.endpoint for h in self.testbed.hosts]
         self.n_probe = len(probes)
         if self.n_probe == 0:
             raise SimulationError("testbed has no probes")
+        self.n_remote = len(cols)
+        n = self.n_remote + self.n_probe
 
-        if isinstance(population, SparseSwarm):
-            cols = population.columns()
-            self.n_remote = len(cols)
-            n = self.n_remote + self.n_probe
-            self._ip = np.concatenate(
-                [cols.ip, np.array([e.ip for e in probes], dtype=np.uint32)]
-            )
-            self._asn = np.concatenate(
-                [cols.asn, np.array([e.asn for e in probes], dtype=np.int32)]
-            )
-            cc_codes = sorted(set(cols.cc.tolist()) | {e.country_code for e in probes})
-            self._cc_labels = cc_codes
-            labels = np.array(cc_codes, dtype="U2")
-            cc_index = {c: i for i, c in enumerate(cc_codes)}
-            self._cc = np.concatenate(
-                [
-                    np.searchsorted(labels, cols.cc).astype(np.int16),
-                    np.array([cc_index[e.country_code] for e in probes], dtype=np.int16),
-                ]
-            )
-            self._subnet = np.concatenate(
-                [cols.subnet, np.array([e.subnet for e in probes], dtype=np.uint32)]
-            )
-            self._up = np.concatenate(
-                [cols.up_bps, np.array([e.access.up_bps for e in probes])]
-            )
-            self._down = np.concatenate(
-                [cols.down_bps, np.array([e.access.down_bps for e in probes])]
-            )
-            self._highbw = np.concatenate(
-                [cols.highbw, np.array([e.access.is_high_bandwidth for e in probes], dtype=bool)]
-            )
-            self._firewalled = np.concatenate(
-                [cols.firewalled, np.array([e.access.firewall for e in probes], dtype=bool)]
-            )
-            self._initial_ttl = np.concatenate(
-                [cols.initial_ttl, np.array([e.initial_ttl for e in probes], dtype=np.uint8)]
-            )
-            self._access_depth = np.concatenate(
-                [
-                    cols.access_depth,
-                    np.array([ACCESS_DEPTH[e.access.kind] for e in probes], dtype=np.uint8),
-                ]
-            )
-        else:
-            remotes = [r.endpoint for r in population]
-            endpoints = remotes + probes
-            self.n_remote = len(remotes)
-            n = len(endpoints)
-            self._ip = np.array([e.ip for e in endpoints], dtype=np.uint32)
-            self._asn = np.array([e.asn for e in endpoints], dtype=np.int32)
-            cc_codes = sorted({e.country_code for e in endpoints})
-            self._cc_labels = cc_codes
-            cc_index = {c: i for i, c in enumerate(cc_codes)}
-            self._cc = np.array(
-                [cc_index[e.country_code] for e in endpoints], dtype=np.int16
-            )
-            self._subnet = np.array([e.subnet for e in endpoints], dtype=np.uint32)
-            self._up = np.array([e.access.up_bps for e in endpoints], dtype=np.float64)
-            self._down = np.array([e.access.down_bps for e in endpoints], dtype=np.float64)
-            self._highbw = np.array(
-                [e.access.is_high_bandwidth for e in endpoints], dtype=bool
-            )
-            self._firewalled = np.array([e.access.firewall for e in endpoints], dtype=bool)
-            self._initial_ttl = np.array([e.initial_ttl for e in endpoints], dtype=np.uint8)
-            self._access_depth = np.array(
-                [ACCESS_DEPTH[e.access.kind] for e in endpoints], dtype=np.uint8
-            )
+        def column(remote: np.ndarray, values: list, dtype) -> np.ndarray:
+            return np.concatenate([remote, np.array(values, dtype=dtype)])
+
+        self._ip = column(cols.ip, [e.ip for e in probes], np.uint32)
+        self._asn = column(cols.asn, [e.asn for e in probes], np.int32)
+        cc_codes = sorted(set(cols.cc.tolist()) | {e.country_code for e in probes})
+        self._cc_labels = cc_codes
+        cc_index = {c: i for i, c in enumerate(cc_codes)}
+        self._cc = column(
+            np.searchsorted(np.array(cc_codes, dtype="U2"), cols.cc).astype(np.int16),
+            [cc_index[e.country_code] for e in probes],
+            np.int16,
+        )
+        self._subnet = column(cols.subnet, [e.subnet for e in probes], np.uint32)
+        self._up = column(cols.up_bps, [e.access.up_bps for e in probes], np.float64)
+        self._down = column(cols.down_bps, [e.access.down_bps for e in probes], np.float64)
+        self._highbw = column(
+            cols.highbw, [e.access.is_high_bandwidth for e in probes], bool
+        )
+        self._firewalled = column(cols.firewalled, [e.access.firewall for e in probes], bool)
+        self._initial_ttl = column(
+            cols.initial_ttl, [e.initial_ttl for e in probes], np.uint8
+        )
+        self._access_depth = column(
+            cols.access_depth, [ACCESS_DEPTH[e.access.kind] for e in probes], np.uint8
+        )
         self._is_probe = np.zeros(n, dtype=bool)
         self._is_probe[self.n_remote :] = True
 
@@ -943,12 +889,12 @@ class Engine:
           one span-length vector masks all ctxs at once.
 
         Each ctx then gets its ``cohort_A`` block — remote columns
-        first, probe columns after, the exact column layout of
-        :meth:`_availability` — as two views into the stacked matrices
-        plus one concatenate.  The per-chunk values are elementwise the
-        ones the per-probe paths would compute (same threshold doubles,
-        same IEEE compares), so the row-gather fast path is
-        byte-identical.
+        first, probe columns after — as two views into the stacked
+        matrices plus one concatenate.  Probe slots past a row's top
+        clamp onto the always-False guard column ("not held").  The
+        per-chunk values are elementwise the ones the scalar scan
+        computes (same threshold doubles, same IEEE compares), so the
+        row-gather path is byte-identical.
         """
         soa = self._soa
         self._cohort_serial += 1
@@ -1015,8 +961,7 @@ class Engine:
         Memoised per partner set — sets only change at refresh/churn
         boundaries.  Holds the partners in plan order (the array order,
         which decides holder order and so the provider draws), the remote
-        partners' diffusion scalars, each partner's provider score and the
-        cached threshold matrix of the array kernel.
+        partners' diffusion scalars and each partner's provider score.
         """
         last = self._last_ctx[pi]
         if last is not None and last[0] is partners:
@@ -1041,12 +986,12 @@ class Engine:
         is_remote = partners < nr
         delays, ready = self.availability.subset(partners[is_remote])
         n_rem = int(is_remote.sum())
-        # The availability matrix stores the remote columns as a leading
-        # block and the probe columns as a trailing block (each in plan
-        # order), so the kernel assembles it with one concatenate.
+        # The cohort block stores the remote columns as a leading block and
+        # the probe columns as a trailing block (each in plan order), so
+        # _cohort_build assembles it with one concatenate.
         # ``plan`` maps back, in plan order: each partner's gidx, its
         # remote column (-1 for probes) and its bitmap row (-1 for
-        # remotes); ``plan_cols`` is its matrix column.
+        # remotes); ``plan_cols`` is its cohort-block column.
         plan: list[tuple[int, int, int]] = []
         plan_cols = []
         r = p = 0
@@ -1076,7 +1021,7 @@ class Engine:
             "plan_scores": scores,
             # Each partner's provider score as its 8 float64 bytes: a
             # holder list's scores joined are the provider draw's CDF
-            # memo key, the same bytes the array paths slice out.
+            # memo key, the same bytes the cohort gather slices out.
             "score_key": {g: raw[8 * j : 8 * j + 8] for j, g in enumerate(cols)},
             # Probe-partner bitmap rows, in plan order, for the gather.
             "probe_rows_arr": np.array([row for _g, row in probe_plan], dtype=np.int64),
@@ -1084,10 +1029,6 @@ class Engine:
             # the next partner's ready time (see _advertisers_scalar).
             "dmin": np.inf,
             "dmin_until": -np.inf,
-            # Threshold matrix of the array kernel (see _availability).
-            "thr_r0": 0,
-            "thr": None,
-            "fresh": None,
             # Cohort-tick block (see _cohort_build): valid only while the
             # serial matches the engine's current cohort build.
             "cohort_serial": 0,
@@ -1105,21 +1046,18 @@ class Engine:
         probe partners through their ``have`` bitmaps.  Yields one
         ``(holders, key)`` pair per chunk, in chunk order: ``key`` is the
         float64 bytes of the holders' provider scores (the provider draw's
-        CDF memo key) where the array paths get it for free, else None.  Pipelining caps
-        are not applied (the schedulers drop ``busy_over`` providers at
-        each chunk's turn).  A pure read — no RNG, no state change.
+        CDF memo key) from the cohort gather, which gets it for free, and
+        None from the scalar scan.  Pipelining caps are not applied (the
+        schedulers drop ``busy_over`` providers at each chunk's turn).  A
+        pure read — no RNG, no state change.
 
-        Three evaluations, all yielding the same lists: a row gather when
-        this tick's cohort build already covered the ctx, a scalar
-        per-chunk scan when ``chunks × partners`` is at most
-        :data:`_SCALAR_PAIRS_MAX`, and the availability matrix otherwise.
+        Two evaluations, both yielding the same lists: a row gather when
+        this tick's cohort build covered the ctx, and the scalar per-chunk
+        scan for every other question.
         """
-        if ctx["cohort_serial"] == self._cohort_serial and t == self._cohort_t:
-            A = ctx["cohort_A"][np.asarray(chunks) - self._cohort_floor]
-        elif len(chunks) * len(ctx["plan"]) <= _SCALAR_PAIRS_MAX:
+        if ctx["cohort_serial"] != self._cohort_serial or t != self._cohort_t:
             return self._advertisers_scalar(ctx, chunks, t)
-        else:
-            A = self._availability(ctx, chunks, t)
+        A = ctx["cohort_A"][np.asarray(chunks) - self._cohort_floor]
         # Permuting A's columns into plan order makes the flat ``nonzero``
         # walk visit each row's advertisers in plan order; each row's
         # advertisers are then one slice of the flat partner list.
@@ -1140,7 +1078,7 @@ class Engine:
         A remote partner serves ``chunk`` iff ``max(gen + delay, ready) <=
         t < gen + retention``; the max of two doubles is one of them, so
         the test splits into ``gen + delay <= t`` and ``ready <= t`` — the
-        same IEEE adds and compares as the matrix kernel.  Since
+        same IEEE adds and compares as the cohort block.  Since
         ``gen + delay`` is monotone in ``delay``, some remote partner
         serves the chunk iff the smallest delay among the ready ones
         does; a chunk no remote can serve yet (or any more) skips the
@@ -1187,56 +1125,6 @@ class Engine:
                 ]
             out.append((holders, None))
         return out
-
-    def _availability(self, ctx: dict, chunks: list[int], t: float) -> np.ndarray:
-        """Availability matrix of ``chunks`` (rows) against one partner ctx.
-
-        Columns are the ctx's block layout — remote partners first, probe
-        partners after, each in plan order.  Remote columns answer through
-        the diffusion-threshold matrix ``thr = max(gen + delay, ready)``
-        with the per-chunk freshness deadline ``gen + retention``; probe
-        columns gather straight from the shared ``have`` bitmaps.
-        """
-        chunks_arr = np.asarray(chunks, dtype=np.int64)
-        avail = pb = None
-        if ctx["n_rem"]:
-            cmin = min(chunks)
-            cmax = max(chunks)
-            thr = ctx["thr"]
-            r0 = ctx["thr_r0"]
-            if thr is None or cmin < r0 or cmax >= r0 + thr.shape[0]:
-                r0 = cmin
-                gens = (
-                    np.arange(r0, cmax + 1 + _THR_SLACK, dtype=np.float64)
-                    * self._av_chunk_interval
-                )
-                thr = np.maximum(
-                    gens[:, None] + ctx["delays"][None, :], ctx["ready"][None, :]
-                )
-                ctx["thr_r0"] = r0
-                ctx["thr"] = thr
-                ctx["fresh"] = gens + self._av_retention
-            rows = chunks_arr - r0
-            avail = thr[rows] <= t
-            # Freshness (gen + retention > t) is vacuously true for every
-            # scanned chunk when the retention window covers the playout
-            # window: chunks sit at/above floor ≥ live − W + 1, so
-            # t − gen < W·ci ≤ retention.  Only compare when it can bite.
-            if self._av_retention < self._soa.window_chunks * self._av_chunk_interval:
-                avail &= (ctx["fresh"][rows] > t)[:, None]
-        rows_arr = ctx["probe_rows_arr"]
-        if rows_arr.size:
-            soa = self._soa
-            # One 2-D gather for every probe column (slots are never
-            # negative, see _advertisers_scalar).  Slots past the row top
-            # clamp onto the always-False guard column: "not held".
-            S = chunks_arr[:, None] - soa.base_arr[rows_arr][None, :]
-            pb = soa.have[rows_arr[None, :], np.minimum(S, soa.capacity)]
-        if avail is None:
-            return pb
-        if pb is None:
-            return avail
-        return np.concatenate((avail, pb), axis=1)
 
     def _request_chunk(self, probe: ProbeState, provider: int, chunk: int, t: float) -> bool:
         """Issue a chunk request; returns True when a transfer was queued.
@@ -1617,18 +1505,12 @@ def simulate(
             )
         else:
             demographics = base
-    rngs = RngBundle(config.seed)
-    if profile.swarm == "sparse":
-        population: "list[RemotePeer] | SparseSwarm" = generate_sparse_swarm(
-            world,
-            SparseSwarmConfig(size=profile.swarm_size, demographics=demographics),
-            rngs["population"],
-        )
-    else:
-        population = generate_population(
-            world,
-            PopulationConfig(size=profile.swarm_size, demographics=demographics),
-            rngs["population"],
-        )
+    # The swarm field picks the draw scheme; both give the same columns.
+    generate = generate_sparse_swarm if profile.swarm == "sparse" else generate_population
+    population = generate(
+        world,
+        PopulationConfig(size=profile.swarm_size, demographics=demographics),
+        RngBundle(config.seed)["population"],
+    )
     return Engine(world, testbed, profile, population, config).run()
 

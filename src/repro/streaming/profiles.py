@@ -46,11 +46,10 @@ class AppProfile:
     eu_audience_boost: float = 1.0
     #: Fraction of probe-country remotes placed inside campus ASes.
     probe_as_fraction: float = 0.25
-    #: Swarm representation: ``"dense"`` materialises one RemotePeer object
-    #: per remote (the legacy directory, pinned by the golden hashes);
-    #: ``"sparse"`` holds the population as numpy columns generated in
-    #: seeded blocks (:mod:`repro.population.sparse`) — required beyond
-    #: ~10^4 peers.
+    #: Population draw scheme: ``"dense"`` draws peer by peer (the
+    #: sequence the paper-profile golden hashes pin); ``"sparse"`` draws
+    #: seeded blocks in bulk (:mod:`repro.population.sparse`), which
+    #: scales past ~10^4 peers.  Both give the engine the same columns.
     swarm: str = "dense"
     #: Audience demographics: ``"cctv1"`` (the paper's CN-dominated channel)
     #: or ``"crossswarm"`` (the Western-centric cross-swarm-study mix).
@@ -140,7 +139,7 @@ class AppProfile:
             )
         if self.swarm not in ("dense", "sparse"):
             raise ConfigurationError(
-                f"unknown swarm representation {self.swarm!r}; "
+                f"unknown swarm draw scheme {self.swarm!r}; "
                 "valid choices: ['dense', 'sparse']"
             )
         if self.audience not in ("cctv1", "crossswarm"):
@@ -338,9 +337,9 @@ def napa_scale() -> AppProfile:
 
     The paper's CCTV-1 swarms held ~1.8×10^5 concurrent peers; every other
     profile subsamples that population by two to three orders of magnitude
-    so the object-per-peer directory stays affordable.  This profile runs
-    the napa-wine awareness policy against the full-size swarm on the
-    sparse column representation: audience demographics follow the
+    (their per-peer draw loop is pinned by the goldens).  This profile runs
+    the napa-wine awareness policy against the full-size swarm drawn in
+    bulk blocks (``swarm="sparse"``): audience demographics follow the
     BitTorrent cross-swarm study mix, tracker/gossip replies are
     alias-sampled (O(batch), not O(swarm)), and all probes tick in one
     cohort so the engine can batch its kernels across probes.

@@ -89,12 +89,12 @@ def random_case_key(case: tuple) -> str:
 
 #: Paper-scale differential cases, by fixture key: the swarm profile, its
 #: remote-peer count, the run, and what the run forces.  ``tick_cohort``
-#: overrides the profile's tick driver; ``representation`` feeds the
-#: engine the sparse columns or their ``RemotePeer`` view (see
-#: ``tests/streaming/test_scale_differential.py``).  ``peer_state`` names
-#: the peer-state mode the object core was forced into when it wrote the
-#: entry; the engine now has one mode, so :func:`scale_case_result`
-#: ignores it and cases that differ only in it are the same run.
+#: overrides the profile's tick driver.  ``representation`` named the
+#: directory format (numpy columns or one object per remote) and
+#: ``peer_state`` the peer-state mode the object core was forced into when
+#: it wrote the entry; the engine now has one of each, so
+#: :func:`scale_case_result` ignores both and cases that differ only in
+#: them are the same run.
 SCALE_CASES: dict[str, dict] = {
     "napa-mid-swarm": dict(profile="napa-scale", size=2500, seed=7, duration_s=90.0),
     "napa-alias-seed3": dict(profile="napa-scale", size=1200, seed=3, duration_s=45.0),
@@ -208,33 +208,13 @@ def scale_case_result(case: dict):
     """Run one :data:`SCALE_CASES`-shaped case under the forcing it names."""
     from dataclasses import replace
 
-    from repro.config import RngBundle
-    from repro.population.demographics import crossswarm_audience
-    from repro.population.sparse import SparseSwarmConfig, generate_sparse_swarm
-    from repro.streaming.engine import Engine, EngineConfig, simulate
+    from repro.streaming.engine import simulate
     from repro.streaming.profiles import get_profile
-    from repro.topology.testbed import build_napa_wine_testbed
-    from repro.topology.world import World
 
     profile = get_profile(case["profile"]).scaled_swarm(case["size"])
     if "tick_cohort" in case:
         profile = replace(profile, tick_cohort=case["tick_cohort"])
-    seed, duration_s = case["seed"], case["duration_s"]
-    if "representation" not in case:
-        return simulate(profile, seed=seed, duration_s=duration_s)
-    # simulate()'s plumbing with the population step made explicit, so
-    # one drawn swarm can be fed as columns or as RemotePeer objects.
-    world = World()
-    testbed = build_napa_wine_testbed(world)
-    demo = crossswarm_audience(probe_as_fraction=profile.probe_as_fraction)
-    swarm = generate_sparse_swarm(
-        world,
-        SparseSwarmConfig(size=profile.swarm_size, demographics=demo),
-        RngBundle(seed)["population"],
-    )
-    population = swarm if case["representation"] == "sparse" else swarm.peers()
-    config = EngineConfig(duration_s=duration_s, seed=seed)
-    return Engine(world, testbed, profile, population, config).run()
+    return simulate(profile, seed=case["seed"], duration_s=case["duration_s"])
 
 
 def regenerate() -> pathlib.Path:

@@ -1,16 +1,14 @@
-"""Sparse swarm columns, lazy blocks and the biased discovery sampler.
+"""The block-wise draw scheme and the biased discovery sampler.
 
-The sparse representation's contract has three legs:
+The sparse scheme's contract has two legs:
 
 * **determinism** — columns are a pure function of the single root draw
-  (plus size and block size), independent of materialisation order;
-* **laziness** — touching block *b* materialises blocks ``0..b`` and
-  nothing beyond, and the whole population costs tens of bytes per peer,
-  not the ~1 kB of the object directory;
-* **fidelity** — the object view (:meth:`SparseSwarm.peers`) and the
-  columns describe the same peers, and the drawn *distributions* match
-  the dense generator's rules (access plans, campus placement, TTL mix)
-  even though the streams differ.
+  and the size, drawn in :data:`BLOCK_SIZE`-peer blocks from the root's
+  ``SeedSequence`` children in block order; the whole population costs
+  tens of bytes per peer;
+* **fidelity** — the drawn *distributions* match the dense generator's
+  rules (access plans, campus placement, TTL mix) even though the
+  streams differ.
 
 The engine's alias-discovery sampler draws peer indices over these
 columns from two-valued weights (``1 + bias`` for the chooser's AS, 1
@@ -18,16 +16,15 @@ elsewhere); :class:`TestBiasedSampler` pins its distribution and its
 draw consumption directly.
 """
 
+import hashlib
+
 import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError
 from repro.population.demographics import cctv1_audience
-from repro.population.sparse import (
-    DEFAULT_BLOCK_SIZE,
-    SparseSwarmConfig,
-    generate_sparse_swarm,
-)
+from repro.population.generator import PopulationConfig
+from repro.population.sparse import BLOCK_SIZE, generate_sparse_swarm
 from repro.streaming.engine import _BiasedSampler
 from repro.streaming.profiles import get_profile
 from repro.topology.world import PROBE_AS_NUMBERS, World
@@ -38,31 +35,33 @@ def sparse_world():
     return World()
 
 
-def _swarm(world, size=5000, seed=3, block_size=1024, **cfg_kw):
+def _swarm(world, size=5000, seed=3, **cfg_kw):
     return generate_sparse_swarm(
-        world,
-        SparseSwarmConfig(size=size, block_size=block_size, **cfg_kw),
-        np.random.default_rng(seed),
+        world, PopulationConfig(size=size, **cfg_kw), np.random.default_rng(seed)
     )
+
+
+def _digest(cols) -> str:
+    h = hashlib.sha256()
+    for name in sorted(type(cols).__dataclass_fields__):
+        h.update(name.encode())
+        h.update(np.ascontiguousarray(getattr(cols, name)).tobytes())
+    return h.hexdigest()
 
 
 class TestConfig:
     def test_negative_size_rejected(self):
         with pytest.raises(ConfigurationError):
-            SparseSwarmConfig(size=-1)
+            PopulationConfig(size=-1)
 
     def test_bad_unix_fraction_rejected(self):
         with pytest.raises(ConfigurationError):
-            SparseSwarmConfig(size=10, unix_fraction=1.5)
-
-    def test_bad_block_size_rejected(self):
-        with pytest.raises(ConfigurationError):
-            SparseSwarmConfig(size=10, block_size=0)
+            PopulationConfig(size=10, unix_fraction=1.5)
 
     def test_zero_size_ok(self, sparse_world):
-        swarm = _swarm(sparse_world, size=0)
-        assert len(swarm) == 0
-        assert len(swarm.columns()) == 0
+        cols = _swarm(sparse_world, size=0)
+        assert len(cols) == 0
+        assert cols.ip.dtype == np.uint32 and cols.cc.dtype == np.dtype("U2")
 
 
 class TestDeterminism:
@@ -70,79 +69,41 @@ class TestDeterminism:
         """The swarm consumes exactly one draw from the population stream."""
         rng_a = np.random.default_rng(9)
         rng_b = np.random.default_rng(9)
-        generate_sparse_swarm(
-            sparse_world, SparseSwarmConfig(size=3000, block_size=512), rng_a
-        )
+        generate_sparse_swarm(sparse_world, PopulationConfig(size=3000), rng_a)
         rng_b.integers(0, 2**63)
         # Both streams must now be in the same state.
         assert rng_a.integers(0, 2**31) == rng_b.integers(0, 2**31)
 
     def test_same_seed_same_columns(self):
-        a = _swarm(World(), seed=7).columns()
-        b = _swarm(World(), seed=7).columns()
+        # Fresh worlds: IP assignment advances per-AS subnet cursors, so
+        # two swarms sharing one world would differ for that reason alone.
+        a = _swarm(World(), seed=7)
+        b = _swarm(World(), seed=7)
         for name in type(a).__dataclass_fields__:
             assert np.array_equal(getattr(a, name), getattr(b, name)), name
 
-    def test_materialisation_order_irrelevant(self):
-        # Fresh worlds: IP assignment advances per-AS subnet cursors, so
-        # two swarms sharing one world would differ for that reason alone.
-        eager = _swarm(World(), seed=5)
-        lazy = _swarm(World(), seed=5)
-        eager_cols = eager.columns()          # all blocks, front to back
-        lazy.block(lazy.n_blocks - 1)         # jump straight to the tail
-        lazy_cols = lazy.columns()
-        assert np.array_equal(eager_cols.ip, lazy_cols.ip)
-        assert np.array_equal(eager_cols.up_bps, lazy_cols.up_bps)
-
-    def test_block_size_is_part_of_identity(self):
-        a = _swarm(World(), seed=5, block_size=512).columns()
-        b = _swarm(World(), seed=5, block_size=1024).columns()
-        assert not np.array_equal(a.up_bps, b.up_bps)
-
-
-class TestLaziness:
-    def test_blocks_materialise_on_demand(self, sparse_world):
-        swarm = _swarm(sparse_world, size=5000, block_size=1024)
-        assert swarm.n_blocks == 5
-        assert swarm.materialised_blocks == 0
-        swarm.block(2)
-        assert swarm.materialised_blocks == 3  # 0..2, nothing beyond
-        swarm.block(0)
-        assert swarm.materialised_blocks == 3
-
-    def test_block_out_of_range_rejected(self, sparse_world):
-        swarm = _swarm(sparse_world, size=100, block_size=64)
-        with pytest.raises(ConfigurationError):
-            swarm.block(swarm.n_blocks)
-
-    def test_memory_per_peer_is_tens_of_bytes(self, sparse_world):
-        swarm = _swarm(sparse_world, size=20_000, block_size=DEFAULT_BLOCK_SIZE)
-        per_peer = swarm.columns().nbytes / len(swarm)
-        assert per_peer < 100  # the object directory costs ~1 kB/peer
+    def test_multi_block_columns_are_pinned(self):
+        """A three-block swarm, byte for byte: the digest was recorded from
+        the block-lazy generator this scheme replaced, so the block seeds,
+        their order and the per-block draw plan are all unchanged."""
+        cols = _swarm(World(), size=20_000, seed=11)
+        assert -(-len(cols) // BLOCK_SIZE) == 3
+        assert _digest(cols) == (
+            "040f3a587af30e537d33b08c8b0db8cd7ac9db2fd9b5ea3abafe0759befb5997"
+        )
 
 
 class TestFidelity:
-    def test_object_view_matches_columns(self, sparse_world):
-        swarm = _swarm(sparse_world, size=600)
-        cols = swarm.columns()
-        peers = swarm.peers()
-        assert len(peers) == len(cols) == 600
-        for i in (0, 17, 599):
-            p = peers[i]
-            assert p.endpoint.ip == int(cols.ip[i])
-            assert p.endpoint.asn == int(cols.asn[i])
-            assert p.endpoint.country_code == str(cols.cc[i])
-            assert p.endpoint.access.up_bps == float(cols.up_bps[i])
-            assert p.endpoint.access.nat == bool(cols.nat[i])
-            assert p.endpoint.initial_ttl == int(cols.initial_ttl[i])
-            assert p.endpoint.subnet == int(cols.subnet[i])
+    def test_memory_per_peer_is_tens_of_bytes(self, sparse_world):
+        cols = _swarm(sparse_world, size=20_000)
+        assert cols.nbytes / len(cols) < 100  # an object per peer costs ~1 kB
 
     def test_unique_ips(self, sparse_world):
-        cols = _swarm(sparse_world, size=5000).columns()
+        cols = _swarm(sparse_world, size=5000)
         assert len(np.unique(cols.ip)) == len(cols)
 
     def test_demographics_rules_hold(self, sparse_world):
-        cols = _swarm(sparse_world, size=8000).columns()
+        cols = _swarm(sparse_world, size=8000)
         cn = np.mean(cols.cc == "CN")
         assert cn > 0.5  # CCTV-1 audience is China-dominated
         unix = np.mean(cols.initial_ttl == 64)
@@ -154,7 +115,7 @@ class TestFidelity:
 
     def test_probe_as_fraction_zero_means_no_campus(self, sparse_world):
         demo = cctv1_audience(probe_as_fraction=0.0)
-        cols = _swarm(sparse_world, size=4000, demographics=demo).columns()
+        cols = _swarm(sparse_world, size=4000, demographics=demo)
         campus_asns = {asn for asn, _ in PROBE_AS_NUMBERS.values()}
         assert not np.isin(cols.asn, sorted(campus_asns)).any()
 

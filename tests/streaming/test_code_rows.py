@@ -17,7 +17,7 @@ from repro._hashing import pair_randint
 from repro.config import RngBundle
 from repro.population.demographics import crossswarm_audience
 from repro.population.generator import PopulationConfig, generate_population
-from repro.population.sparse import SparseSwarmConfig, generate_sparse_swarm
+from repro.population.sparse import generate_sparse_swarm
 from repro.streaming.engine import LATENCY_BY_CODE, Engine, EngineConfig, _approx_latency
 from repro.streaming.profiles import PROFILES, get_profile
 from repro.streaming.selection import (
@@ -86,7 +86,7 @@ def _engine(name, seed=7):
         profile = profile.scaled_swarm(1200)
         demo = crossswarm_audience(probe_as_fraction=profile.probe_as_fraction)
         population = generate_sparse_swarm(
-            world, SparseSwarmConfig(size=profile.swarm_size, demographics=demo), rng
+            world, PopulationConfig(size=profile.swarm_size, demographics=demo), rng
         )
     else:
         profile = profile.scaled(0.5)

@@ -2,10 +2,11 @@
 
 Two independence claims make the napa-scale profile trustworthy:
 
-* **Representation independence** — a :class:`SparseSwarm` and its own
-  ``peers()`` object view describe the same population, so an engine fed
-  either must emit byte-identical traces.  This is the sparse ≡ dense
-  contract at a size where the object directory is still affordable.
+* **Representation independence** — the object core ran one drawn swarm
+  twice, fed as numpy columns and as one object per remote, and froze
+  byte-identical digests for the two.  The engine takes columns only, so
+  its one run must equal both frozen entries, and its directory must
+  hold exactly the columns the generator drew.
 * **Engine independence** — under the full napa-scale feature set
   (sparse columns, cross-swarm audience, alias-sampled discovery, cohort
   ticking, the 1 Mbps HD channel) the engine must stay byte-identical,
@@ -29,7 +30,8 @@ import pytest
 from repro.config import RngBundle
 from repro.errors import ConfigurationError
 from repro.population.demographics import crossswarm_audience
-from repro.population.sparse import SparseSwarmConfig, generate_sparse_swarm
+from repro.population.generator import PopulationConfig, generate_population
+from repro.population.sparse import generate_sparse_swarm
 from repro.streaming.engine import Engine, EngineConfig, ProbeState
 from repro.streaming.profiles import get_profile
 from repro.topology.testbed import build_napa_wine_testbed
@@ -74,7 +76,7 @@ def _napa_case_engine():
     demo = crossswarm_audience(probe_as_fraction=profile.probe_as_fraction)
     swarm = generate_sparse_swarm(
         world,
-        SparseSwarmConfig(size=profile.swarm_size, demographics=demo),
+        PopulationConfig(size=profile.swarm_size, demographics=demo),
         RngBundle(case["seed"])["population"],
     )
     config = EngineConfig(duration_s=case["duration_s"], seed=case["seed"])
@@ -95,27 +97,44 @@ def test_fixture_describes_these_cases():
 
 
 class TestRepresentationIndependence:
-    """SparseSwarm columns ≡ its RemotePeer view, byte for byte."""
+    """One column run ≡ the object core's columns and object-view runs."""
 
-    def test_sparse_equals_dense_small_n(self):
-        case = dict(profile="napa-scale", size=800, seed=7, duration_s=60.0)
-        sparse = scale_case_result(dict(case, representation="sparse"))
-        dense = scale_case_result(dict(case, representation="dense"))
-        assert full_digest(sparse) == full_digest(dense)
+    def test_sparse_equals_dense_small_n(self, object_core):
+        assert SCALE_CASES["napa-lazy-dense"] == dict(
+            SCALE_CASES["napa-lazy-sparse"], representation="dense"
+        )
+        digest = _case("napa-lazy-dense")
+        for key in ("napa-lazy-dense", "napa-lazy-sparse"):
+            assert digest == _trace_fields(object_core[key]), key
 
     def test_representations_share_population_identity(self):
-        """Both views come from one draw — same IPs, same link plans."""
-        world = World()
+        """The engine's remote directory is the generator's columns, for
+        either draw scheme: same IPs, ASes, countries and link plans."""
         demo = crossswarm_audience(probe_as_fraction=0.005)
-        swarm = generate_sparse_swarm(
-            world,
-            SparseSwarmConfig(size=500, demographics=demo),
-            RngBundle(7)["population"],
-        )
-        cols = swarm.columns()
-        peers = swarm.peers()
-        assert [p.endpoint.ip for p in peers] == cols.ip.tolist()
-        assert [p.endpoint.access.up_bps for p in peers] == cols.up_bps.tolist()
+        for generate in (generate_population, generate_sparse_swarm):
+            world = World()
+            cols = generate(
+                world, PopulationConfig(size=800, demographics=demo), RngBundle(7)["population"]
+            )
+            profile = _napa(800)
+            eng = Engine(
+                world, build_napa_wine_testbed(world), profile, cols, EngineConfig(duration_s=1.0)
+            )
+            r = eng.n_remote
+            assert r == len(cols) == profile.swarm_size
+            for got, want in [
+                (eng._ip, cols.ip),
+                (eng._asn, cols.asn),
+                (np.array(eng._cc_labels)[eng._cc], cols.cc),
+                (eng._subnet, cols.subnet),
+                (eng._up, cols.up_bps),
+                (eng._down, cols.down_bps),
+                (eng._highbw, cols.highbw),
+                (eng._firewalled, cols.firewalled),
+                (eng._initial_ttl, cols.initial_ttl),
+                (eng._access_depth, cols.access_depth),
+            ]:
+                assert np.array_equal(got[:r], want), generate.__name__
 
 
 class TestEngineIndependenceAtScale:
