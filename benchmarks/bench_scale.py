@@ -14,6 +14,9 @@ it:
 * ``test_engine_mega_throughput`` — the mega-scale swarm at 5×10^5 and
   10^6 peers (``REPRO_SCALE_MEGA=1`` to enable): the memory envelope the
   performance docs tabulate.
+* ``test_flow_aggregation_scale`` — the analysis side: ``build_flow_table``
+  over the full swarm's output (the simulation is untimed setup), with
+  the transfers and signaling intervals in and the flows out.
 
 Wall-clock here includes world construction and population generation
 (both cheap next to the event loop at these horizons), matching the
@@ -32,6 +35,7 @@ import pytest
 
 from repro.streaming.engine import EngineConfig, simulate
 from repro.streaming.profiles import get_profile
+from repro.trace.flows import build_flow_table
 
 #: Short horizons keep the full-scale runs affordable.
 CROSSOVER_DURATION_S = 120.0
@@ -39,6 +43,8 @@ SCALE_DURATION_S = 300.0
 #: The mega swarms amortise less: one simulated minute is enough to pin
 #: throughput and residency while keeping the 10^6-peer cells tractable.
 MEGA_DURATION_S = 60.0
+#: The capture the analysis bench aggregates: perfbench's napa-scale length.
+ANALYSIS_DURATION_S = 180.0
 SCALE_SEED = 42
 
 
@@ -77,6 +83,25 @@ def test_engine_scale_throughput(benchmark):
     benchmark.extra_info["transfers"] = len(result.transfers)
     benchmark.extra_info["simulated_s"] = SCALE_DURATION_S
     benchmark.extra_info["peak_rss_mb"] = round(_peak_rss_mb(), 1)
+
+
+def test_flow_aggregation_scale(benchmark):
+    """Flow aggregation of a full paper-scale (1.8×10^5-peer) capture."""
+    profile = get_profile("napa-scale")
+    result = simulate(
+        profile, engine_config=EngineConfig(duration_s=ANALYSIS_DURATION_S, seed=SCALE_SEED)
+    )
+
+    def run():
+        return build_flow_table(
+            result.transfers, result.signaling, result.hosts, result.world.paths
+        )
+
+    flows = benchmark.pedantic(run, rounds=5, iterations=1, warmup_rounds=1)
+    benchmark.extra_info["swarm"] = profile.swarm_size
+    benchmark.extra_info["transfers"] = len(result.transfers)
+    benchmark.extra_info["records_in"] = len(result.transfers) + len(result.signaling)
+    benchmark.extra_info["flows"] = len(flows)
 
 
 @pytest.mark.skipif(

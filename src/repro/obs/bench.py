@@ -144,11 +144,13 @@ def summarize_benchmark(bench: dict, baseline: dict | None = None) -> dict:
     if simulated_s:
         entry["simulated_s"] = float(simulated_s)
         entry["wall_s_per_simulated_minute"] = wall * 60.0 / simulated_s
-    # Scale-benchmark annotations: how large the swarm was and the
+    # Scale-benchmark annotations: how large the swarm was, the records
+    # an analysis bench aggregated and the flows it produced, and the
     # process RSS high-water mark (the bounded-memory record for the
     # paper-scale entries).
-    if "swarm" in extra:
-        entry["swarm"] = int(extra["swarm"])
+    for key in ("swarm", "records_in", "flows"):
+        if key in extra:
+            entry[key] = int(extra[key])
     if "peak_rss_mb" in extra:
         entry["peak_rss_mb"] = float(extra["peak_rss_mb"])
     if baseline is not None:

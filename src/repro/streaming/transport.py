@@ -95,8 +95,10 @@ class SignalingBook:
 
     Buffer-map and keepalive exchanges are periodic and dynamically inert
     (tiny packets), so instead of clogging the event queue the engine logs
-    *intervals*; :func:`repro.trace.packets.expand_signaling` later expands
-    them to timestamped transfers, vectorised.
+    *intervals*.  The flow aggregator sums each interval in closed form
+    (its exchange count, bytes and first/last times) without expanding
+    it; :func:`repro.trace.packets.expand_signaling` turns intervals into
+    timestamped transfers only for the packet path.
     """
 
     def __init__(self) -> None:
@@ -136,10 +138,7 @@ class SignalingBook:
                 self._closed.append((key[0], key[1], start, t_end, key[2], key[3]))
         self._open.clear()
         self._pair_keys.clear()
-        out = np.empty(len(self._closed), dtype=SIGNALING_DTYPE)
-        for i, (src, dst, start, stop, interval, nbytes) in enumerate(self._closed):
-            out[i] = (src, dst, start, stop, interval, nbytes)
-        return out
+        return np.array(self._closed, dtype=SIGNALING_DTYPE)
 
 
 class UplinkScheduler:

@@ -19,7 +19,8 @@ import numpy as np
 from repro.obs.telemetry import Telemetry
 
 
-def _touch_mask(records: np.ndarray, ips: np.ndarray) -> np.ndarray:
+def capture_mask(records: np.ndarray, ips: np.ndarray) -> np.ndarray:
+    """Which records any of ``ips`` saw: those it sent or received."""
     ips = np.asarray(ips, dtype=np.uint32)
     return np.isin(records["src"], ips) | np.isin(records["dst"], ips)
 
@@ -33,7 +34,7 @@ def captured_by(
     """Records visible to *any* probe (the merged campaign dataset)."""
     if len(records) == 0:
         return records
-    kept = records[_touch_mask(records, probe_ips)]
+    kept = records[capture_mask(records, probe_ips)]
     if telemetry is not None:
         telemetry.count("capture/records_in", len(records))
         telemetry.count("capture/records_kept", len(kept))

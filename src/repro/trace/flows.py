@@ -7,8 +7,10 @@ TTL (the hop estimator's signal) and first/last activity times.
 
 Two construction paths exist and agree exactly:
 
-* :func:`build_flow_table` aggregates the engine's transfer log directly
-  (fast path — no packet materialisation, used for full experiments);
+* :func:`build_flow_table` aggregates the engine's transfer log and
+  signaling intervals directly (fast path, used for full experiments): no
+  packet materialisation, and each signaling interval is summed in closed
+  form rather than expanded into its exchanges;
 * :meth:`FlowTable.from_packets` aggregates a packet trace (what one would
   do with a real pcap; used by tests to prove the fast path faithful).
 """
@@ -18,10 +20,22 @@ from __future__ import annotations
 import numpy as np
 
 from repro.errors import TraceError
-from repro.trace.capture import captured_by
+from repro.trace.capture import capture_mask
 from repro.trace.hosts import HostTable
-from repro.trace.packets import PacketSynthesizer, expand_signaling, packet_counts, transfer_gaps
-from repro.trace.records import FLOW_DTYPE, PACKET_DTYPE, TRANSFER_DTYPE, PacketKind
+from repro.trace.packets import (
+    PacketSynthesizer,
+    pair_gaps,
+    packet_counts,
+    signaling_counts,
+    signaling_times,
+)
+from repro.trace.records import (
+    FLOW_DTYPE,
+    PACKET_DTYPE,
+    SIGNALING_DTYPE,
+    TRANSFER_DTYPE,
+    PacketKind,
+)
 
 
 def _pair_keys(src: np.ndarray, dst: np.ndarray) -> np.ndarray:
@@ -118,6 +132,14 @@ def build_flow_table(
 ) -> FlowTable:
     """Aggregate an engine transfer log (+ signaling intervals) into flows.
 
+    Every transfer and every signaling interval is one *unit* with a
+    closed-form contribution to its pair's flow; an interval of ``n``
+    exchanges adds ``n·bytes`` and ``n`` packets, spans its first to its
+    last exchange and carries no video.  The units are sorted once by
+    pair and reduced by segment.  A flow's min IPG is its pair's
+    :func:`~repro.trace.packets.pair_gaps` value when any of its transfers
+    is a packet train, else inf; gaps and TTLs are computed once per flow.
+
     Parameters
     ----------
     transfers / signaling:
@@ -130,56 +152,62 @@ def build_flow_table(
         safety filter.
     telemetry:
         Optional :class:`~repro.obs.telemetry.Telemetry`; tallies the
-        records aggregated, signaling expansions, packets materialised
-        and flows produced (``trace/*`` counters of the run manifest).
+        transfers and signaling exchanges aggregated (``trace/*``) and
+        the exchanges the capture saw and kept (``capture/*``), each
+        signaling exchange counted as the record it stands for.
     """
     if transfers.dtype != TRANSFER_DTYPE:
         raise TraceError("build_flow_table() wants a TRANSFER_DTYPE array")
-    parts = [transfers]
-    if signaling is not None and len(signaling):
-        parts.append(expand_signaling(signaling))
-    log = np.concatenate(parts) if len(parts) > 1 else parts[0]
+    if signaling is None or len(signaling) == 0:
+        signaling = np.empty(0, dtype=SIGNALING_DTYPE)
+    reps = signaling_counts(signaling)
+    n_records = len(transfers) + int(reps.sum())
     if telemetry is not None:
         telemetry.count("trace/transfer_records", len(transfers))
-        telemetry.count("trace/signaling_records", len(log) - len(transfers))
-    if probes_only and len(log):
-        log = captured_by(log, hosts.probe_ips, telemetry=telemetry)
-    if len(log) == 0:
+        telemetry.count("trace/signaling_records", n_records - len(transfers))
+    if probes_only and n_records:
+        t_seen = capture_mask(transfers, hosts.probe_ips)
+        s_seen = capture_mask(signaling, hosts.probe_ips)
+        transfers, signaling, reps = transfers[t_seen], signaling[s_seen], reps[s_seen]
+        if telemetry is not None:
+            telemetry.count("capture/records_in", n_records)
+            telemetry.count("capture/records_kept", len(transfers) + int(reps.sum()))
+    live = reps > 0
+    signaling, reps = signaling[live], reps[live]
+    if len(transfers) + len(signaling) == 0:
         return FlowTable(np.empty(0, dtype=FLOW_DTYPE), hosts)
 
-    keys = _pair_keys(log["src"], log["dst"])
-    uniq, inverse = np.unique(keys, return_inverse=True)
-    m = len(uniq)
-
-    pkts = packet_counts(log)
-    gaps = transfer_gaps(log, hosts)
-    video = log["kind"] == int(PacketKind.VIDEO)
-    nbytes = log["bytes"].astype(np.uint64)
-
-    flows = np.empty(m, dtype=FLOW_DTYPE)
-    flows["bytes"] = np.bincount(inverse, weights=nbytes.astype(np.float64), minlength=m)
-    flows["pkts"] = np.bincount(inverse, weights=pkts.astype(np.float64), minlength=m)
-    flows["video_bytes"] = np.bincount(
-        inverse, weights=(nbytes * video).astype(np.float64), minlength=m
+    keys = np.concatenate(
+        (
+            _pair_keys(transfers["src"], transfers["dst"]),
+            _pair_keys(signaling["src"], signaling["dst"]),
+        )
     )
-    flows["video_pkts"] = np.bincount(
-        inverse, weights=(pkts * video).astype(np.float64), minlength=m
-    )
+    order = np.argsort(keys, kind="stable")
+    keys = keys[order]
+    starts = np.flatnonzero(np.concatenate(([True], keys[1:] != keys[:-1])))
 
-    min_ipg = np.full(m, np.inf)
-    np.minimum.at(min_ipg, inverse, gaps)
-    flows["min_ipg"] = min_ipg
+    def per_flow(reduce, of_transfers, of_signaling):
+        return reduce.reduceat(np.concatenate((of_transfers, of_signaling))[order], starts)
 
-    first = np.full(m, np.inf)
-    last = np.full(m, -np.inf)
-    np.minimum.at(first, inverse, log["ts"])
-    np.maximum.at(last, inverse, log["ts"])
-    flows["first_ts"] = first
-    flows["last_ts"] = last
+    pkts = packet_counts(transfers).astype(np.uint64)
+    video = transfers["kind"] == int(PacketKind.VIDEO)
+    nbytes = transfers["bytes"].astype(np.uint64)
+    none = np.zeros(len(signaling), dtype=np.uint64)
+    sig_pkts = reps.astype(np.uint64)
 
-    flows["src"] = (uniq >> np.uint64(32)).astype(np.uint32)
-    flows["dst"] = (uniq & np.uint64(0xFFFFFFFF)).astype(np.uint32)
+    flows = np.empty(len(starts), dtype=FLOW_DTYPE)
+    flows["src"] = (keys[starts] >> np.uint64(32)).astype(np.uint32)
+    flows["dst"] = (keys[starts] & np.uint64(0xFFFFFFFF)).astype(np.uint32)
+    flows["bytes"] = per_flow(np.add, nbytes, signaling["bytes"] * sig_pkts)
+    flows["pkts"] = per_flow(np.add, pkts, sig_pkts)
+    flows["video_bytes"] = per_flow(np.add, nbytes * video, none)
+    flows["video_pkts"] = per_flow(np.add, pkts * video, none)
+    flows["first_ts"] = per_flow(np.minimum, transfers["ts"], signaling_times(signaling, 0))
+    flows["last_ts"] = per_flow(np.maximum, transfers["ts"], signaling_times(signaling, reps - 1))
 
-    synth = PacketSynthesizer(hosts, paths)
-    flows["ttl"] = synth.ttl_for(flows["src"], flows["dst"])
+    trains = per_flow(np.logical_or, pkts >= 2, none.astype(bool))
+    gaps = pair_gaps(flows["src"], flows["dst"], hosts)
+    flows["min_ipg"] = np.where(trains, gaps, np.inf)
+    flows["ttl"] = PacketSynthesizer(hosts, paths).ttl_for(flows["src"], flows["dst"])
     return FlowTable(flows, hosts)

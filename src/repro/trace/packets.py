@@ -11,7 +11,10 @@ Per-pair deterministic jitter widens gaps slightly (queueing never
 *shrinks* the dispersion of a bottleneck-paced train below the
 serialisation time, so jitter is one-sided), and the same jitter is used
 by the flow aggregator so packet-level and flow-level analyses agree
-exactly.
+exactly.  Periodic signaling is stored as intervals; :func:`expand_signaling`
+turns them into single-datagram transfers for the packet path, while the
+flow aggregator sums each interval in closed form from
+:func:`signaling_counts` and :func:`signaling_times`.
 """
 
 from __future__ import annotations
@@ -34,8 +37,8 @@ _IPG_SEED = 0x1B6
 IPG_JITTER_SPAN = 0.08
 
 
-def transfer_gaps(transfers: np.ndarray, hosts: HostTable) -> np.ndarray:
-    """Per-transfer packet spacing in seconds (inf for single-packet ones).
+def pair_gaps(src: np.ndarray, dst: np.ndarray, hosts: HostTable) -> np.ndarray:
+    """Packet spacing in seconds of a ``src → dst`` train.
 
     The train is paced by the *sender's uplink* serialisation time.  This
     is a deliberate modelling choice (DESIGN.md §7): the paper's estimator
@@ -44,17 +47,23 @@ def transfer_gaps(transfers: np.ndarray, hosts: HostTable) -> np.ndarray:
     bursts as often as they stretch them, so the observed minimum converges
     to the uplink serialisation time even behind slower probe downlinks.
 
-    This is the exact quantity the flow aggregator uses as the transfer's
-    contribution to a flow's min-IPG, keeping both analysis paths equal.
+    The gap depends on the pair only, so the flow aggregator evaluates it
+    once per flow and the packet path once per transfer, both here.
     """
-    npkts = packet_counts(transfers)
-    up = hosts.gather(transfers["src"], "up_bps")
+    up = hosts.gather(src, "up_bps")
     base = PACKET_PAYLOAD_BYTES * BITS_PER_BYTE / up
-    jitter = 1.0 + IPG_JITTER_SPAN * pair_uniform(
-        transfers["src"], transfers["dst"], _IPG_SEED
-    )
-    gaps = base * jitter
-    return np.where(npkts >= 2, gaps, np.inf)
+    jitter = 1.0 + IPG_JITTER_SPAN * pair_uniform(src, dst, _IPG_SEED)
+    return base * jitter
+
+
+def transfer_gaps(transfers: np.ndarray, hosts: HostTable) -> np.ndarray:
+    """Per-transfer packet spacing in seconds (inf for single-packet ones).
+
+    :func:`pair_gaps` of each transfer's pair; a flow's min IPG is that
+    same value when any of its transfers is a train of two or more packets.
+    """
+    gaps = pair_gaps(transfers["src"], transfers["dst"], hosts)
+    return np.where(packet_counts(transfers) >= 2, gaps, np.inf)
 
 
 def packet_counts(transfers: np.ndarray) -> np.ndarray:
@@ -125,31 +134,50 @@ class PacketSynthesizer:
         return out[np.argsort(out["ts"], kind="stable")]
 
 
+def signaling_counts(intervals: np.ndarray) -> np.ndarray:
+    """Exchanges per signaling interval: ``floor((stop-start)/interval) + 1``.
+
+    Zero for an interval that stops less than one period before it
+    starts; an interval that stops earlier than that is malformed.
+    """
+    if intervals.dtype != SIGNALING_DTYPE:
+        raise TraceError("signaling intervals want a SIGNALING_DTYPE array")
+    spans = intervals["stop"] - intervals["start"]
+    counts = np.floor(spans / intervals["interval"]).astype(np.int64) + 1
+    if np.any(counts < 0):
+        raise TraceError("signaling interval stops more than one period before it starts")
+    return counts
+
+
+def signaling_times(intervals: np.ndarray, k) -> np.ndarray:
+    """Time of each interval's ``k``-th exchange, ``start + k·interval``."""
+    return intervals["start"] + k * intervals["interval"]
+
+
 def expand_signaling(intervals: np.ndarray) -> np.ndarray:
     """Expand periodic signaling intervals into individual transfers.
 
     Each interval ``(src, dst, start, stop, interval, bytes)`` becomes
-    ``floor((stop-start)/interval) + 1`` SIGNALING transfers at
-    ``start + k·interval``.  Bottleneck is irrelevant for single small
-    datagrams and set to +inf.
+    :func:`signaling_counts` SIGNALING transfers at ``start + k·interval``.
+    Bottleneck is irrelevant for single small datagrams and set to +inf.
+    The flow aggregator never calls this: it sums each interval in closed
+    form.  The packet path and the tests use it.
     """
-    if intervals.dtype != SIGNALING_DTYPE:
-        raise TraceError("expand_signaling() wants a SIGNALING_DTYPE array")
+    counts = signaling_counts(intervals)
     n = len(intervals)
     if n == 0:
         return np.empty(0, dtype=TRANSFER_DTYPE)
-    spans = intervals["stop"] - intervals["start"]
-    counts = np.floor(spans / intervals["interval"]).astype(np.int64) + 1
     total = int(counts.sum())
     owner = np.repeat(np.arange(n), counts)
     starts = np.concatenate(([0], np.cumsum(counts)[:-1]))
     within = np.arange(total) - np.repeat(starts, counts)
 
+    rows = intervals[owner]
     out = np.empty(total, dtype=TRANSFER_DTYPE)
-    out["ts"] = intervals["start"][owner] + within * intervals["interval"][owner]
-    out["src"] = intervals["src"][owner]
-    out["dst"] = intervals["dst"][owner]
-    out["bytes"] = intervals["bytes"][owner]
+    out["ts"] = signaling_times(rows, within)
+    out["src"] = rows["src"]
+    out["dst"] = rows["dst"]
+    out["bytes"] = rows["bytes"]
     out["kind"] = int(PacketKind.SIGNALING)
     out["bottleneck"] = np.inf
     return out[np.argsort(out["ts"], kind="stable")]

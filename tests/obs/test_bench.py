@@ -57,6 +57,12 @@ class TestSummarize:
         assert "events_per_s" not in entry
         assert "wall_s_per_simulated_minute" not in entry
 
+    def test_analysis_counts_carried(self):
+        bench = _raw(simulated_s=None)["benchmarks"][0]
+        bench["extra_info"].update(swarm=180000, records_in=303437, flows=35568)
+        entry = summarize_benchmark(bench)
+        assert (entry["swarm"], entry["records_in"], entry["flows"]) == (180000, 303437, 35568)
+
     def test_baseline_speedup(self):
         base = _raw(wall=1.5)["benchmarks"][0]
         entry = summarize_benchmark(_raw(wall=0.5)["benchmarks"][0], base)

@@ -87,7 +87,11 @@ class TestDirectionalSelectors:
 
 
 class TestPacketPathEquivalence:
-    """The pcap-analyst path must agree with the fast path."""
+    """The pcap-analyst path must agree with the fast path.
+
+    The slice carries signaling: the fast path sums each interval in
+    closed form, the packet path sees its expanded datagrams.
+    """
 
     @pytest.fixture(scope="class")
     def both(self, sim_small):
@@ -97,15 +101,18 @@ class TestPacketPathEquivalence:
             sim_small.transfers["dst"] == probe
         )
         transfers = sim_small.transfers[mask][:3000]
+        sig = sim_small.signaling
+        signaling = sig[(sig["src"] == probe) | (sig["dst"] == probe)][:300]
+        assert len(signaling)
         fast = build_flow_table(
             transfers,
-            np.empty(0, dtype=sim_small.signaling.dtype),
+            signaling,
             sim_small.hosts,
             sim_small.world.paths,
             probes_only=False,
         )
         synth = PacketSynthesizer(sim_small.hosts, sim_small.world.paths)
-        packets = synth.expand(transfers)
+        packets = synth.expand(np.concatenate((transfers, expand_signaling(signaling))))
         slow = FlowTable.from_packets(packets, sim_small.hosts)
         return fast, slow
 
